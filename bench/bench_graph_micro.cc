@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "blocking/id_overlap.h"
+#include "blocking/incremental_index.h"
 #include "blocking/token_overlap.h"
 #include "common/rng.h"
 #include "core/cleanup.h"
@@ -315,6 +316,57 @@ void BM_CrudChurn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CrudChurn)->Arg(4)->Arg(16)->ArgName("rounds")
+    ->Unit(benchmark::kMillisecond);
+
+// BM_TokenIndexChurn is the rung under the end-to-end benchmark's
+// blocking.add_s/blocking.remove_s: rounds of RemoveRecords + AddRecords
+// straight on an IncrementalTokenOverlapIndex over the securities fixture.
+// Each round retracts ~5% of the live records and re-appends their own
+// payloads (a correction that keeps its content, as the end-to-end
+// workloads issue). `reranked_per_round` is the records each round ranks,
+// new ones included — what the index's dirty-set rule keeps small.
+void BM_TokenIndexChurn(benchmark::State& state) {
+  const size_t rounds = static_cast<size_t>(state.range(0));
+  const std::vector<Record>& records = IncrementalBenchRecords();
+  const TokenOverlapBlocker::Options options = IncrementalBenchConfig().token;
+  size_t ranked = 0;
+  size_t rounds_run = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    RecordTable table;
+    for (const Record& rec : records) table.Add(rec);
+    IncrementalTokenOverlapIndex index(options);
+    index.AddRecords(table);
+    std::vector<RecordId> live;
+    for (size_t id = 0; id < table.size(); ++id) {
+      live.push_back(static_cast<RecordId>(id));
+    }
+    Rng rng(99);
+    const size_t ranked_before = index.records_ranked();
+    state.ResumeTiming();
+    for (size_t round = 0; round < rounds; ++round) {
+      const size_t churn = live.size() / 20 + 1;
+      for (size_t k = 0; k < churn; ++k) {
+        const size_t j = k + static_cast<size_t>(rng.Uniform(live.size() - k));
+        std::swap(live[k], live[j]);
+      }
+      std::vector<RecordId> removals(live.begin(),
+                                     live.begin() + static_cast<long>(churn));
+      live.erase(live.begin(), live.begin() + static_cast<long>(churn));
+      std::sort(removals.begin(), removals.end());
+      CandidateDelta retracted = index.RemoveRecords(table, removals);
+      benchmark::DoNotOptimize(retracted);
+      for (RecordId id : removals) live.push_back(table.Add(table.at(id)));
+      CandidateDelta admitted = index.AddRecords(table);
+      benchmark::DoNotOptimize(admitted);
+    }
+    ranked += index.records_ranked() - ranked_before;
+    rounds_run += rounds;
+  }
+  state.counters["reranked_per_round"] =
+      static_cast<double>(ranked) / static_cast<double>(rounds_run);
+}
+BENCHMARK(BM_TokenIndexChurn)->Arg(16)->ArgName("rounds")
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------

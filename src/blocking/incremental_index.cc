@@ -1,6 +1,7 @@
 #include "blocking/incremental_index.h"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "common/binary_io.h"
@@ -75,6 +76,17 @@ Status ReadRecordIds(BinaryReader* reader, size_t limit,
   return Status::OK();
 }
 
+/// Add `delta` to `pair`'s refcount, snapshotting its pre-pass value into
+/// `old_ref` the first time the pass touches it.
+void BumpRefcount(
+    const RecordPair& pair, int delta,
+    std::unordered_map<RecordPair, uint32_t, RecordPairHash>* refcount,
+    std::unordered_map<RecordPair, uint32_t, RecordPairHash>* old_ref) {
+  uint32_t& count = (*refcount)[pair];
+  old_ref->emplace(pair, count);
+  count = static_cast<uint32_t>(static_cast<int>(count) + delta);
+}
+
 /// Finalize a refcount-delta pass: compare each touched pair's pre-batch
 /// refcount snapshot against its current one, emit membership transitions,
 /// and drop zero entries. Deltas are sorted so callers see a deterministic
@@ -104,24 +116,92 @@ CandidateDelta FinalizeDelta(
 // Token Overlap
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Per-thread scratch of the overlap-counting kernel: a dense overlap count
+/// per record id, plus the ids whose count left zero during the current
+/// call. Only those are reset afterwards, so a call costs the postings it
+/// reads, not the table size.
+struct OverlapScratch {
+  std::vector<uint32_t> count;
+  std::vector<RecordId> touched;
+};
+
+/// Zeroes the touched counts on scope exit — exceptions included, since the
+/// scratch outlives the call and is shared by every index on the thread.
+class ScratchReset {
+ public:
+  explicit ScratchReset(OverlapScratch* scratch) : scratch_(scratch) {}
+  ~ScratchReset() {
+    for (RecordId r : scratch_->touched) {
+      scratch_->count[static_cast<size_t>(r)] = 0;
+    }
+    scratch_->touched.clear();
+  }
+  ScratchReset(const ScratchReset&) = delete;
+  ScratchReset& operator=(const ScratchReset&) = delete;
+
+ private:
+  OverlapScratch* scratch_;
+};
+
+/// Distinct token ids of `occurrences` with their multiplicities, sorted by
+/// id. Each record's tokens are unique, so a multiplicity is the number of
+/// holders the token gained (or lost) in one mutation.
+std::vector<std::pair<int32_t, uint32_t>> TallyTokens(
+    std::vector<int32_t> occurrences) {
+  std::sort(occurrences.begin(), occurrences.end());
+  std::vector<std::pair<int32_t, uint32_t>> tally;
+  for (int32_t tid : occurrences) {
+    if (tally.empty() || tally.back().first != tid) tally.emplace_back(tid, 0);
+    ++tally.back().second;
+  }
+  return tally;
+}
+
+void MarkHolders(const std::vector<RecordId>& postings,
+                 std::vector<char>* dirty) {
+  for (RecordId r : postings) (*dirty)[static_cast<size_t>(r)] = 1;
+}
+
+}  // namespace
+
+uint32_t IncrementalTokenOverlapIndex::MaxDf() const {
+  // The df cap is a fraction of the *live* record count: a from-scratch run
+  // on the survivors never sees the retracted records at all.
+  return static_cast<uint32_t>(options_.max_token_df *
+                               static_cast<double>(num_live_)) +
+         1;
+}
+
 std::vector<RecordId> IncrementalTokenOverlapIndex::RankRecord(
-    const RecordTable& records, RecordId record) const {
-  std::unordered_map<RecordId, uint32_t> overlap;
-  const SourceId source = records.at(record).source();
+    const RecordTable& records, RecordId record,
+    std::vector<RecordId>* partners) const {
+  thread_local OverlapScratch scratch;
+  if (scratch.count.size() < num_records_) scratch.count.resize(num_records_);
+  ScratchReset reset(&scratch);
   for (int32_t tid : record_tokens_[static_cast<size_t>(record)]) {
     const TokenInfo& info = tokens_[static_cast<size_t>(tid)];
-    if (info.df < 2 || info.df > max_df_) continue;
+    if (!Eligible(info.df, max_df_)) continue;
     for (RecordId other : info.postings) {
-      if (other == record) continue;
-      if (records.at(other).source() == source) continue;
-      ++overlap[other];
+      uint32_t& count = scratch.count[static_cast<size_t>(other)];
+      if (count == 0) scratch.touched.push_back(other);
+      ++count;
     }
   }
+  const SourceId source = records.at(record).source();
   std::vector<std::pair<RecordId, uint32_t>> ranked;
-  ranked.reserve(overlap.size());
-  for (const auto& [rid, cnt] : overlap) {
-    if (cnt >= options_.min_overlap) ranked.emplace_back(rid, cnt);
+  for (RecordId other : scratch.touched) {
+    const uint32_t count = scratch.count[static_cast<size_t>(other)];
+    if (other == record || count < options_.min_overlap) continue;
+    if (records.at(other).source() == source) continue;
+    ranked.emplace_back(other, count);
   }
+  if (partners != nullptr) {
+    for (const auto& [rid, count] : ranked) partners->push_back(rid);
+  }
+  // (count desc, id asc) is a total order, so the result does not depend on
+  // the order the counting pass first touched each record in.
   const size_t keep = std::min(options_.top_n, ranked.size());
   auto by_count_then_id = [](const auto& a, const auto& b) {
     if (a.second != b.second) return a.second > b.second;
@@ -133,6 +213,56 @@ std::vector<RecordId> IncrementalTokenOverlapIndex::RankRecord(
   kept.reserve(keep);
   for (size_t k = 0; k < keep; ++k) kept.push_back(ranked[k].first);
   return kept;
+}
+
+void IncrementalTokenOverlapIndex::MarkCapBand(
+    uint32_t lo, uint32_t hi,
+    const std::vector<std::pair<int32_t, uint32_t>>& touched,
+    std::vector<char>* dirty) const {
+  if (lo >= hi) return;
+  for (size_t tid = 0; tid < tokens_.size(); ++tid) {
+    const TokenInfo& info = tokens_[tid];
+    if (info.df <= lo || info.df > hi) continue;
+    const bool was_touched = std::binary_search(
+        touched.begin(), touched.end(),
+        std::make_pair(static_cast<int32_t>(tid), uint32_t{0}),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+    if (!was_touched) MarkHolders(info.postings, dirty);
+  }
+}
+
+void IncrementalTokenOverlapIndex::SetKept(
+    RecordId record, std::vector<RecordId> after,
+    std::unordered_map<RecordPair, uint32_t, RecordPairHash>* old_ref) {
+  std::vector<RecordId>& before = kept_[static_cast<size_t>(record)];
+  for (RecordId o : before) {
+    if (std::find(after.begin(), after.end(), o) == after.end()) {
+      BumpRefcount(RecordPair(record, o), -1, &refcount_, old_ref);
+    }
+  }
+  for (RecordId o : after) {
+    if (std::find(before.begin(), before.end(), o) == before.end()) {
+      BumpRefcount(RecordPair(record, o), +1, &refcount_, old_ref);
+    }
+  }
+  before = std::move(after);
+}
+
+void IncrementalTokenOverlapIndex::Rerank(
+    const RecordTable& records, const std::vector<RecordId>& ids,
+    ThreadPool* pool,
+    std::unordered_map<RecordPair, uint32_t, RecordPairHash>* old_ref) {
+  // Each record ranks into its own slot (deterministic); the refcount merge
+  // is serial.
+  records_ranked_ += ids.size();
+  std::vector<std::vector<RecordId>> ranked(ids.size());
+  ParallelFor(
+      pool, 0, ids.size(),
+      [&](size_t k) { ranked[k] = RankRecord(records, ids[k], nullptr); },
+      /*grain=*/4);
+  for (size_t k = 0; k < ids.size(); ++k) {
+    SetKept(ids[k], std::move(ranked[k]), old_ref);
+  }
 }
 
 std::vector<std::string> IncrementalTokenOverlapIndex::ExtractKeys(
@@ -168,101 +298,76 @@ CandidateDelta IncrementalTokenOverlapIndex::AddPublishedRecords(
   const size_t old_n = num_records_;
   const size_t new_n = records.size();
   if (new_n <= old_n) return {};
-  std::vector<std::vector<std::string>>& new_tokens = published;
+  const size_t num_new = new_n - old_n;
 
-  // Intern tokens and update document frequencies / postings in place,
-  // remembering each touched token's pre-batch df.
+  // Intern tokens and update document frequencies / postings in place. Ids
+  // only grow, so appending keeps every postings list ascending.
   const uint32_t old_max_df = max_df_;
-  std::unordered_map<int32_t, uint32_t> old_df;
+  std::vector<int32_t> occurrences;
   record_tokens_.resize(new_n);
-  for (size_t k = 0; k < new_tokens.size(); ++k) {
+  for (size_t k = 0; k < num_new; ++k) {
     const RecordId rid = static_cast<RecordId>(old_n + k);
     auto& ids = record_tokens_[static_cast<size_t>(rid)];
-    ids.reserve(new_tokens[k].size());
-    for (auto& tok : new_tokens[k]) {
+    ids.reserve(published[k].size());
+    for (auto& tok : published[k]) {
       auto [it, inserted] =
           token_id_.emplace(std::move(tok), static_cast<int32_t>(tokens_.size()));
       if (inserted) tokens_.emplace_back();
       const int32_t tid = it->second;
       TokenInfo& info = tokens_[static_cast<size_t>(tid)];
-      old_df.emplace(tid, info.df);  // keeps the first (pre-batch) value
-      if (info.df > 0) df_buckets_[info.df].erase(tid);
       ++info.df;
-      df_buckets_[info.df].insert(tid);
       info.postings.push_back(rid);
       ids.push_back(tid);
+      occurrences.push_back(tid);
     }
   }
   num_records_ = new_n;
-  num_live_ += new_tokens.size();
-  // The df cap is a fraction of the *live* record count: a from-scratch run
-  // on the survivors never sees the retracted records at all.
-  max_df_ = static_cast<uint32_t>(options_.max_token_df *
-                                  static_cast<double>(num_live_)) +
-            1;
+  num_live_ += num_new;
+  max_df_ = MaxDf();
 
-  // Dirty records: the new records, plus holders of any token whose
-  // postings or eligibility changed. A token matters only while eligible
-  // (2 <= df <= max_df) on at least one side of the batch; tokens that were
-  // and remain out of bounds cannot change any ranking.
+  // Old records holding a flipped token: a touched token whose eligibility
+  // changed, or an untouched one re-admitted because the cap rose past its
+  // df. Tokens that kept their eligibility leave old-old overlaps intact.
+  const auto touched = TallyTokens(std::move(occurrences));
   std::vector<char> dirty(new_n, 0);
-  for (size_t r = old_n; r < new_n; ++r) dirty[r] = 1;
-  auto mark_holders = [&](int32_t tid) {
-    for (RecordId r : tokens_[static_cast<size_t>(tid)].postings) {
-      dirty[static_cast<size_t>(r)] = 1;
-    }
-  };
-  for (const auto& [tid, df_before] : old_df) {
-    const uint32_t df_now = tokens_[static_cast<size_t>(tid)].df;
-    const bool was_eligible = df_before >= 2 && df_before <= old_max_df;
-    const bool is_eligible = df_now >= 2 && df_now <= max_df_;
-    if (was_eligible || is_eligible) mark_holders(tid);
-  }
-  // The max-df cap rises with the record count: untouched tokens with df in
-  // (old cap, new cap] were over the cap and are now re-admitted.
-  for (uint32_t d = old_max_df + 1; d <= max_df_; ++d) {
-    auto bucket = df_buckets_.find(d);
-    if (bucket == df_buckets_.end()) continue;
-    for (int32_t tid : bucket->second) {
-      if (!old_df.count(tid)) mark_holders(tid);
+  for (const auto& [tid, gained] : touched) {
+    const TokenInfo& info = tokens_[static_cast<size_t>(tid)];
+    if (Eligible(info.df - gained, old_max_df) != Eligible(info.df, max_df_)) {
+      MarkHolders(info.postings, &dirty);
     }
   }
+  MarkCapBand(old_max_df, max_df_, touched, &dirty);
 
-  // Re-rank every dirty record into its own slot (deterministic), then diff
-  // against its previous top-n list serially.
-  std::vector<RecordId> dirty_ids;
-  for (size_t r = 0; r < new_n; ++r) {
-    if (dirty[r]) dirty_ids.push_back(static_cast<RecordId>(r));
-  }
-  std::vector<std::vector<RecordId>> new_kept(dirty_ids.size());
+  // The new records rank first. Overlap is symmetric, so their counting
+  // pass also names every old other-source record that a new record now
+  // overlaps by >= min_overlap — the only other way an old record's top-n
+  // can change.
+  records_ranked_ += num_new;
+  std::vector<std::vector<RecordId>> new_kept(num_new), partners(num_new);
   ParallelFor(
-      pool, 0, dirty_ids.size(),
-      [&](size_t k) { new_kept[k] = RankRecord(records, dirty_ids[k]); },
+      pool, 0, num_new,
+      [&](size_t k) {
+        new_kept[k] = RankRecord(records, static_cast<RecordId>(old_n + k),
+                                 &partners[k]);
+      },
       /*grain=*/4);
+  for (const auto& list : partners) {
+    for (RecordId o : list) {
+      if (static_cast<size_t>(o) < old_n) dirty[static_cast<size_t>(o)] = 1;
+    }
+  }
+  std::vector<RecordId> dirty_old;
+  for (size_t r = 0; r < old_n; ++r) {
+    if (dirty[r]) dirty_old.push_back(static_cast<RecordId>(r));
+  }
 
   kept_.resize(new_n);
   std::unordered_map<RecordPair, uint32_t, RecordPairHash> old_ref;
-  auto bump = [&](const RecordPair& pair, int delta) {
-    uint32_t& count = refcount_[pair];
-    old_ref.emplace(pair, count);  // snapshot the pre-batch value once
-    count = static_cast<uint32_t>(static_cast<int>(count) + delta);
-  };
-  for (size_t k = 0; k < dirty_ids.size(); ++k) {
-    const RecordId i = dirty_ids[k];
-    const auto& before = kept_[static_cast<size_t>(i)];
-    const auto& after = new_kept[k];
-    for (RecordId o : before) {
-      if (std::find(after.begin(), after.end(), o) == after.end()) {
-        bump(RecordPair(i, o), -1);
-      }
-    }
-    for (RecordId o : after) {
-      if (std::find(before.begin(), before.end(), o) == before.end()) {
-        bump(RecordPair(i, o), +1);
-      }
-    }
-    kept_[static_cast<size_t>(i)] = std::move(new_kept[k]);
+  for (size_t k = 0; k < num_new; ++k) {
+    SetKept(static_cast<RecordId>(old_n + k), std::move(new_kept[k]),
+            &old_ref);
   }
+  Rerank(records, dirty_old, pool, &old_ref);
   return FinalizeDelta(old_ref, &refcount_);
 }
 
@@ -273,95 +378,63 @@ CandidateDelta IncrementalTokenOverlapIndex::RemoveRecords(
   std::vector<char> removed(num_records_, 0);
   for (RecordId r : removed_ids) removed[static_cast<size_t>(r)] = 1;
 
-  // Release the removed records' tokens: each df drops, its df-bucket
-  // membership moves, and the record leaves the postings (which therefore
-  // keep listing exactly the live holders). `old_df` snapshots each touched
-  // token's pre-removal df once.
+  // Release the removed records' tokens: each df drops and the record
+  // leaves the (ascending) postings, which therefore keep listing exactly
+  // the live holders.
   const uint32_t old_max_df = max_df_;
-  std::unordered_map<int32_t, uint32_t> old_df;
+  std::vector<int32_t> occurrences;
   for (RecordId r : removed_ids) {
     for (int32_t tid : record_tokens_[static_cast<size_t>(r)]) {
       TokenInfo& info = tokens_[static_cast<size_t>(tid)];
-      old_df.emplace(tid, info.df);
-      df_buckets_[info.df].erase(tid);
       --info.df;
-      if (info.df > 0) df_buckets_[info.df].insert(tid);
-      info.postings.erase(
-          std::remove(info.postings.begin(), info.postings.end(), r),
-          info.postings.end());
+      auto it = std::lower_bound(info.postings.begin(), info.postings.end(), r);
+      if (it != info.postings.end() && *it == r) info.postings.erase(it);
+      occurrences.push_back(tid);
     }
   }
   num_live_ -= removed_ids.size();
-  max_df_ = static_cast<uint32_t>(options_.max_token_df *
-                                  static_cast<double>(num_live_)) +
-            1;
+  max_df_ = MaxDf();
 
-  // Dirty records: live holders of any token whose postings or eligibility
-  // changed. The cap falls with the live count, so untouched tokens with df
-  // in (new cap, old cap] drop *out* of eligibility — the mirror image of
-  // the rising-cap re-admission scan in AddPublishedRecords.
-  std::vector<char> dirty(num_records_, 0);
-  auto mark_holders = [&](int32_t tid) {
-    for (RecordId r : tokens_[static_cast<size_t>(tid)].postings) {
-      dirty[static_cast<size_t>(r)] = 1;
+  // Dirty records: live holders of a flipped token — a touched token whose
+  // eligibility changed, or an untouched one the falling cap pushed out —
+  // and live records keeping a removed one. A kept record shares a
+  // previously eligible token with its keeper, and that token is touched,
+  // so scanning the kept-lists of those tokens' holders finds them all.
+  auto keeps_removed = [&](RecordId r) {
+    for (RecordId o : kept_[static_cast<size_t>(r)]) {
+      if (removed[static_cast<size_t>(o)]) return true;
     }
+    return false;
   };
-  for (const auto& [tid, df_before] : old_df) {
-    const uint32_t df_now = tokens_[static_cast<size_t>(tid)].df;
-    const bool was_eligible = df_before >= 2 && df_before <= old_max_df;
-    const bool is_eligible = df_now >= 2 && df_now <= max_df_;
-    if (was_eligible || is_eligible) mark_holders(tid);
-  }
-  for (uint32_t d = max_df_ + 1; d <= old_max_df; ++d) {
-    auto bucket = df_buckets_.find(d);
-    if (bucket == df_buckets_.end()) continue;
-    for (int32_t tid : bucket->second) {
-      if (!old_df.count(tid)) mark_holders(tid);
+  const auto touched = TallyTokens(std::move(occurrences));
+  std::vector<char> dirty(num_records_, 0);
+  for (const auto& [tid, lost] : touched) {
+    const TokenInfo& info = tokens_[static_cast<size_t>(tid)];
+    const bool was_eligible = Eligible(info.df + lost, old_max_df);
+    if (was_eligible != Eligible(info.df, max_df_)) {
+      MarkHolders(info.postings, &dirty);
+    } else if (was_eligible) {
+      for (RecordId r : info.postings) {
+        if (!dirty[static_cast<size_t>(r)] && keeps_removed(r)) {
+          dirty[static_cast<size_t>(r)] = 1;
+        }
+      }
     }
   }
+  MarkCapBand(max_df_, old_max_df, touched, &dirty);
 
+  // The removed records' own kept-lists retract wholesale; re-ranking the
+  // dirty records retracts the other halves.
+  std::unordered_map<RecordPair, uint32_t, RecordPairHash> old_ref;
+  for (RecordId r : removed_ids) {
+    SetKept(r, {}, &old_ref);
+    record_tokens_[static_cast<size_t>(r)].clear();
+  }
   std::vector<RecordId> dirty_ids;
   for (size_t r = 0; r < num_records_; ++r) {
     if (dirty[r]) dirty_ids.push_back(static_cast<RecordId>(r));
   }
-  std::vector<std::vector<RecordId>> new_kept(dirty_ids.size());
-  ParallelFor(
-      pool, 0, dirty_ids.size(),
-      [&](size_t k) { new_kept[k] = RankRecord(records, dirty_ids[k]); },
-      /*grain=*/4);
-
-  std::unordered_map<RecordPair, uint32_t, RecordPairHash> old_ref;
-  auto bump = [&](const RecordPair& pair, int delta) {
-    uint32_t& count = refcount_[pair];
-    old_ref.emplace(pair, count);
-    count = static_cast<uint32_t>(static_cast<int>(count) + delta);
-  };
-  // The removed records' own kept-lists retract wholesale; any live record
-  // keeping a removed one shares a (touched, previously eligible) token with
-  // it, so it is dirty and its re-ranking retracts the other half.
-  for (RecordId r : removed_ids) {
-    for (RecordId o : kept_[static_cast<size_t>(r)]) {
-      bump(RecordPair(r, o), -1);
-    }
-    kept_[static_cast<size_t>(r)].clear();
-    record_tokens_[static_cast<size_t>(r)].clear();
-  }
-  for (size_t k = 0; k < dirty_ids.size(); ++k) {
-    const RecordId i = dirty_ids[k];
-    const auto& before = kept_[static_cast<size_t>(i)];
-    const auto& after = new_kept[k];
-    for (RecordId o : before) {
-      if (std::find(after.begin(), after.end(), o) == after.end()) {
-        bump(RecordPair(i, o), -1);
-      }
-    }
-    for (RecordId o : after) {
-      if (std::find(before.begin(), before.end(), o) == before.end()) {
-        bump(RecordPair(i, o), +1);
-      }
-    }
-    kept_[static_cast<size_t>(i)] = std::move(new_kept[k]);
-  }
+  Rerank(records, dirty_ids, pool, &old_ref);
   return FinalizeDelta(old_ref, &refcount_);
 }
 
@@ -425,7 +498,6 @@ Status IncrementalTokenOverlapIndex::LoadState(BinaryReader* reader) {
   token_id_.clear();
   tokens_.clear();
   tokens_.reserve(static_cast<size_t>(num_tokens));
-  df_buckets_.clear();
   for (uint64_t tid = 0; tid < num_tokens; ++tid) {
     std::string text;
     GRALMATCH_RETURN_NOT_OK(reader->ReadString(&text));
@@ -438,9 +510,12 @@ Status IncrementalTokenOverlapIndex::LoadState(BinaryReader* reader) {
     if (!inserted) {
       return Status::IOError("corrupted token index: duplicate token text");
     }
-    // Rebuild the df-bucket membership from its defining invariant:
-    // df_buckets_[d] holds exactly the tokens whose current df is d.
-    if (info.df > 0) df_buckets_[info.df].insert(static_cast<int32_t>(tid));
+    // Removal locates holders by binary search, so postings must ascend.
+    if (std::adjacent_find(info.postings.begin(), info.postings.end(),
+                           std::greater_equal<RecordId>()) !=
+        info.postings.end()) {
+      return Status::IOError("corrupted token index: postings not ascending");
+    }
     tokens_.push_back(std::move(info));
   }
 
@@ -577,9 +652,7 @@ CandidateDelta IncrementalIdOverlapIndex::AddPublishedRecords(
 
   std::unordered_map<RecordPair, uint32_t, RecordPairHash> old_ref;
   auto bump = [&](const RecordPair& pair, int delta) {
-    uint32_t& count = refcount_[pair];
-    old_ref.emplace(pair, count);
-    count = static_cast<uint32_t>(static_cast<int>(count) + delta);
+    BumpRefcount(pair, delta, &refcount_, &old_ref);
   };
   for (const BucketDiff& d : diffs) {
     // Both lists are sorted unique; emit set differences.
@@ -636,9 +709,7 @@ CandidateDelta IncrementalIdOverlapIndex::RemoveRecords(
 
   std::unordered_map<RecordPair, uint32_t, RecordPairHash> old_ref;
   auto bump = [&](const RecordPair& pair, int delta) {
-    uint32_t& count = refcount_[pair];
-    old_ref.emplace(pair, count);
-    count = static_cast<uint32_t>(static_cast<int>(count) + delta);
+    BumpRefcount(pair, delta, &refcount_, &old_ref);
   };
   for (const BucketDiff& d : diffs) {
     for (const RecordPair& p : d.before) {

@@ -26,7 +26,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "blocking/id_overlap.h"
@@ -50,11 +50,22 @@ struct CandidateDelta {
 
 /// \brief In-place updatable Token Overlap blocking (§5.3.1 semantics).
 ///
-/// Maintains per-record token sets, document frequencies and postings. On
-/// each batch, only dirty records are re-ranked: the new records themselves,
-/// records sharing an eligible token with a new record, and records holding
-/// a token whose document-frequency eligibility flipped (including tokens
-/// re-admitted because the max-df cap rises with the record count).
+/// Maintains per-record token sets, document frequencies and postings, and
+/// re-ranks on each mutation exactly the records whose top-n can change.
+///
+/// Dirty-set rule. A token *flips* when its document frequency crosses the
+/// eligibility bounds [2, max_df] — because its own df moved, or because the
+/// cap (a fraction of the live count) moved past it. If none of a live
+/// record's tokens flipped, its overlap count with every other surviving
+/// record is unchanged, so its ranking over the old records is unchanged
+/// and its top-n can move in only two ways: a new record with overlap
+/// >= min_overlap enters, or a record it keeps is removed. Hence an add
+/// re-ranks the new records, the holders of flipped tokens, and the old
+/// other-source records a new record overlaps by >= min_overlap (read off
+/// the new records' own counting pass — overlap is symmetric); a removal
+/// re-ranks the holders of flipped tokens and the records whose kept-list
+/// holds a removed id. Every other record's kept-list provably equals what
+/// a re-rank would produce, so skipping it is exact.
 class IncrementalTokenOverlapIndex {
  public:
   IncrementalTokenOverlapIndex() : options_() {}
@@ -89,13 +100,18 @@ class IncrementalTokenOverlapIndex {
 
   /// Retract previously added records. Each id in `removed_ids` (in range,
   /// unique, not yet removed) gives up its tokens: document frequencies
-  /// drop, the max-df cap is recomputed from the live-record count, and
-  /// every record whose ranking could change — holders of a touched or
-  /// eligibility-flipped token, including tokens pushed back *under* the
-  /// falling cap — is re-ranked. `records` must still hold the removed
-  /// records' payloads (the table is append-only; removal is logical). The
-  /// delta may contain added pairs: retraction is not monotone either, a df
-  /// falling back into [2, max_df] re-admits its token.
+  /// drop and the max-df cap is recomputed from the live-record count.
+  /// Re-ranked are exactly the live holders of a flipped token (a touched
+  /// token crossing [2, max_df] either way, or an untouched one the falling
+  /// cap pushes out) and the live records whose kept-list holds a removed
+  /// id. The second set is found by scanning the <= top_n kept-list of each
+  /// live holder of a touched, previously eligible token: a kept record
+  /// shares such a token with its keeper. Any other live record lost only
+  /// candidates it did not keep, at unchanged counts, so its top-n stands.
+  /// `records` must still hold the removed records' payloads (the table is
+  /// append-only; removal is logical). The delta may contain added pairs:
+  /// retraction is not monotone either, a df falling back into [2, max_df]
+  /// re-admits its token.
   CandidateDelta RemoveRecords(const RecordTable& records,
                                const std::vector<RecordId>& removed_ids,
                                ThreadPool* pool = nullptr);
@@ -111,6 +127,10 @@ class IncrementalTokenOverlapIndex {
   /// alive — the owning pipeline carries the tombstone set).
   void SetNumLive(size_t live) { num_live_ = live; }
   size_t num_tokens() const { return tokens_.size(); }
+  /// Records ranked (new or re-ranked) by all mutations on this object so
+  /// far — the cost the dirty-set rule bounds. A counter, not index state:
+  /// never serialized, and left alone by LoadState.
+  size_t records_ranked() const { return records_ranked_; }
 
   /// Serialize the complete index state (options included) into `writer`.
   /// Map-backed members are emitted in sorted order, so the bytes are a
@@ -118,23 +138,43 @@ class IncrementalTokenOverlapIndex {
   void SaveState(BinaryWriter* writer) const;
 
   /// Restore the state written by SaveState, replacing the current contents.
-  /// The df-bucket structure is rebuilt from the per-token document
-  /// frequencies (its defining invariant) rather than round-tripped. Returns
-  /// an error on truncated or inconsistent input, leaving the index in an
+  /// Returns an error on truncated or inconsistent input (including
+  /// postings that are not strictly ascending), leaving the index in an
   /// unspecified state that must be discarded.
   Status LoadState(BinaryReader* reader);
 
  private:
   struct TokenInfo {
     uint32_t df = 0;
-    std::vector<RecordId> postings;  ///< holders, ascending record id
+    std::vector<RecordId> postings;  ///< live holders, ascending record id
   };
 
   /// Top-n other-source records by token overlap for one record, using the
   /// same eligibility, min-overlap and (count desc, id asc) tie-break rules
-  /// as the batch blocker.
-  std::vector<RecordId> RankRecord(const RecordTable& records,
-                                   RecordId record) const;
+  /// as the batch blocker. Overlaps are counted in a per-thread dense array
+  /// indexed by record id. When `partners` is non-null, every other-source
+  /// record with overlap >= min_overlap (kept or not) is appended to it.
+  std::vector<RecordId> RankRecord(const RecordTable& records, RecordId record,
+                                   std::vector<RecordId>* partners) const;
+
+  static bool Eligible(uint32_t df, uint32_t max_df) {
+    return df >= 2 && df <= max_df;
+  }
+  /// Max-df cap for the current live count.
+  uint32_t MaxDf() const;
+  /// Flag every holder of each token whose df lies in (lo, hi] and which is
+  /// not in `touched` (sorted): the tokens a moving cap alone flips.
+  void MarkCapBand(uint32_t lo, uint32_t hi,
+                   const std::vector<std::pair<int32_t, uint32_t>>& touched,
+                   std::vector<char>* dirty) const;
+  /// Re-rank `ids` (fanned out over `pool`) and fold each changed kept-list
+  /// into the refcounts, snapshotting pre-mutation counts into `old_ref`.
+  void Rerank(const RecordTable& records, const std::vector<RecordId>& ids,
+              ThreadPool* pool,
+              std::unordered_map<RecordPair, uint32_t, RecordPairHash>* old_ref);
+  /// Replace kept_[record] with `after`, adjusting the refcounts.
+  void SetKept(RecordId record, std::vector<RecordId> after,
+               std::unordered_map<RecordPair, uint32_t, RecordPairHash>* old_ref);
 
   TokenOverlapBlocker::Options options_;
   size_t num_records_ = 0;
@@ -148,10 +188,7 @@ class IncrementalTokenOverlapIndex {
   std::vector<std::vector<RecordId>> kept_;
   /// Pair -> number of kept-lists currently containing it (1 or 2).
   std::unordered_map<RecordPair, uint32_t, RecordPairHash> refcount_;
-  /// df value -> token ids at that df, for max-df-crossing detection. Only
-  /// membership matters (iteration feeds boolean dirty flags), so the
-  /// unordered iteration never reaches the output.
-  std::unordered_map<uint32_t, std::unordered_set<int32_t>> df_buckets_;
+  size_t records_ranked_ = 0;
 };
 
 /// \brief In-place updatable ID Overlap blocking (securities mode): records

@@ -221,14 +221,17 @@ IngestReport ShardedPipeline::MutateImpl(
     apply_delta(deltas.token, kBlockerTokenOverlap);
   }
 
+  // A pair whose final provenance is 0 leaves the candidate set — also one
+  // that was absent before and that one delta added and another retracted
+  // within this pass: no zero-provenance entry may survive the pass.
   std::vector<RecordPair> cand_added, cand_removed, prov_changed;
   for (const auto& [pair, before] : old_prov) {
     const uint32_t now = candidate_prov_.at(pair);
-    if (before == 0 && now != 0) {
-      cand_added.push_back(pair);
-    } else if (before != 0 && now == 0) {
-      cand_removed.push_back(pair);
+    if (now == 0) {
+      if (before != 0) cand_removed.push_back(pair);
       candidate_prov_.erase(pair);
+    } else if (before == 0) {
+      cand_added.push_back(pair);
     } else if (before != now) {
       prov_changed.push_back(pair);
     }

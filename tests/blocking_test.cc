@@ -12,7 +12,10 @@
 #include "blocking/incremental_index.h"
 #include "blocking/issuer_match.h"
 #include "blocking/token_overlap.h"
+#include "common/binary_io.h"
 #include "common/rng.h"
+#include "datagen/financial_gen.h"
+#include "datagen/wdc_gen.h"
 
 namespace gralmatch {
 namespace {
@@ -420,6 +423,78 @@ TEST(IncrementalTokenOverlapIndexTest, TopNDisplacementRetractsPair) {
                         RecordPair(a, c)) != delta.added.end());
 }
 
+TEST(IncrementalTokenOverlapIndexTest, RanksOnlyRecordsWhoseTopNCanChange) {
+  // With max_token_df = 1 the cap never binds, so a token flips only by
+  // crossing df 2. Mutations that flip nothing must rank exactly the new
+  // records, the old records a new one overlaps by >= min_overlap, and the
+  // records keeping a removed one.
+  TokenOverlapBlocker::Options options;
+  options.min_overlap = 2;
+  options.max_token_df = 1.0;
+  RecordTable records;
+  auto add = [&](SourceId source, const std::string& name) {
+    Record rec(source, RecordKind::kCompany);
+    rec.Set("name", name);
+    return records.Add(std::move(rec));
+  };
+  const RecordId a = add(0, "papaya quartz rhubarb");
+  const RecordId b = add(1, "papaya quartz rhubarb");
+  add(2, "saffron tamarind");
+  add(0, "saffron tamarind");
+  const RecordId loner = add(1, "umbrella");
+  IncrementalTokenOverlapIndex index(options);
+  index.AddRecords(records);
+  EXPECT_EQ(index.records_ranked(), records.size());
+
+  // Nobody overlaps the loner: removing it ranks nothing.
+  CandidateDelta delta = index.RemoveRecords(records, {loner});
+  EXPECT_TRUE(delta.added.empty() && delta.removed.empty());
+  EXPECT_EQ(index.records_ranked(), records.size());
+
+  // A new record sharing no eligible token ranks only itself.
+  add(2, "vanilla");
+  index.AddRecords(records);
+  EXPECT_EQ(index.records_ranked(), records.size());
+
+  // A copy of `a` (its tokens stay eligible at df 3) ranks itself plus the
+  // two old records it overlaps, which both keep it.
+  const RecordId copy = add(2, "papaya quartz rhubarb");
+  const size_t before_copy = index.records_ranked();
+  delta = index.AddRecords(records);
+  EXPECT_EQ(index.records_ranked() - before_copy, 3u);
+  EXPECT_EQ(delta.added, (std::vector<RecordPair>{RecordPair(a, copy),
+                                                  RecordPair(b, copy)}));
+
+  // Removing it again ranks exactly its two keepers.
+  const size_t before_remove = index.records_ranked();
+  delta = index.RemoveRecords(records, {copy});
+  EXPECT_EQ(index.records_ranked() - before_remove, 2u);
+  EXPECT_EQ(delta.removed, (std::vector<RecordPair>{RecordPair(a, copy),
+                                                    RecordPair(b, copy)}));
+}
+
+TEST(IncrementalTokenOverlapIndexTest, LoadStateRejectsUnsortedPostings) {
+  // Removal finds a holder by binary search, so a state whose postings are
+  // out of order must not load.
+  BinaryWriter writer;
+  writer.WriteU64(5);      // top_n
+  writer.WriteU64(2);      // min_overlap
+  writer.WriteDouble(1.0);  // max_token_df
+  writer.WriteU64(2);      // records
+  writer.WriteU32(3);      // max_df
+  writer.WriteU64(1);      // tokens
+  writer.WriteString("papaya");
+  writer.WriteU32(2);  // df
+  writer.WriteU64(2);  // postings
+  writer.WriteI32(1);
+  writer.WriteI32(0);
+  BinaryReader reader(writer.buffer());
+  IncrementalTokenOverlapIndex index;
+  const Status status = index.LoadState(&reader);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("ascending"), std::string::npos);
+}
+
 TEST(IncrementalTokenOverlapIndexTest, RandomSplitsMatchBatch) {
   Rng rng(13);
   TokenOverlapBlocker::Options options;
@@ -453,6 +528,234 @@ TEST(IncrementalTokenOverlapIndexTest, RandomSplitsMatchBatch) {
                 BatchTokenPairs(Prefix(records, ingested), options))
           << "round " << round << " after " << ingested << " records";
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Removal differential: seeded Add/Remove/Update schedules driven straight
+// through the indexes. After every step the maintained pair set must equal a
+// fresh index built over the survivors (ids mapped back), and a
+// SaveState -> LoadState round trip mid-schedule must end in the same state
+// bytes as the uninterrupted run.
+// ---------------------------------------------------------------------------
+
+/// One schedule step: retract `removals`, then append and absorb `adds`. An
+/// update is both in one step (a removal plus its replacement), the order
+/// in which IncrementalPipeline::Update drives the indexes.
+struct IndexStep {
+  std::vector<RecordId> removals;
+  std::vector<Record> adds;
+};
+
+struct IndexSchedule {
+  std::vector<Record> initial;
+  std::vector<IndexStep> steps;
+};
+
+/// Ingest 60% of `pool`, then `num_steps` random steps of 3..10 records
+/// each: adds from the rest of the pool, removals of random live ids, and
+/// updates of random live ids (replacement payload from the pool, or the
+/// old payload with one more name token once the pool runs dry).
+IndexSchedule MakeIndexSchedule(const std::vector<Record>& pool,
+                                uint64_t seed, size_t num_steps) {
+  Rng rng(seed);
+  IndexSchedule schedule;
+  const size_t n0 = (pool.size() * 3) / 5;
+  schedule.initial.assign(pool.begin(), pool.begin() + static_cast<long>(n0));
+  size_t reserve_next = n0;
+  std::vector<Record> payload(schedule.initial);
+  std::vector<RecordId> live;
+  for (size_t i = 0; i < n0; ++i) live.push_back(static_cast<RecordId>(i));
+  auto kill = [&](IndexStep* step) {
+    const size_t at = rng.Uniform(live.size());
+    step->removals.push_back(live[at]);
+    live[at] = live.back();
+    live.pop_back();
+    return step->removals.back();
+  };
+  for (size_t k = 0; k < num_steps; ++k) {
+    IndexStep step;
+    const size_t count = 3 + rng.Uniform(8);
+    size_t kind = rng.Uniform(3);
+    if (kind == 0 && reserve_next >= pool.size()) kind = 2;
+    if (live.size() < 2 * count) kind = 0;
+    std::vector<Record> born;
+    for (size_t i = 0; i < count; ++i) {
+      if (kind == 0) {
+        if (reserve_next >= pool.size()) break;
+        born.push_back(pool[reserve_next++]);
+      } else if (kind == 1) {
+        kill(&step);
+      } else {
+        const RecordId victim = kill(&step);
+        if (rng.Uniform(2) == 0 && reserve_next < pool.size()) {
+          born.push_back(pool[reserve_next++]);
+        } else {
+          Record revised = payload[static_cast<size_t>(victim)];
+          revised.Set("name", std::string(revised.Get("name")) + " revised");
+          born.push_back(std::move(revised));
+        }
+      }
+    }
+    for (Record& rec : born) {
+      live.push_back(static_cast<RecordId>(payload.size()));
+      payload.push_back(rec);
+      step.adds.push_back(std::move(rec));
+    }
+    schedule.steps.push_back(std::move(step));
+  }
+  return schedule;
+}
+
+/// Pairs of a fresh index over the live records of `table`, mapped back to
+/// `table` ids (the survivor->original map is monotone), sorted.
+template <typename Index, typename MakeIndex>
+std::vector<RecordPair> SurvivorPairs(const RecordTable& table,
+                                      const std::vector<char>& alive,
+                                      const MakeIndex& make_index) {
+  RecordTable survivors;
+  std::vector<RecordId> original;
+  for (size_t i = 0; i < table.size(); ++i) {
+    if (!alive[i]) continue;
+    survivors.Add(table.at(static_cast<RecordId>(i)));
+    original.push_back(static_cast<RecordId>(i));
+  }
+  Index fresh = make_index();
+  fresh.AddRecords(survivors);
+  std::vector<RecordPair> pairs;
+  for (const RecordPair& p : fresh.CurrentPairs()) {
+    pairs.emplace_back(original[static_cast<size_t>(p.a)],
+                       original[static_cast<size_t>(p.b)]);
+  }
+  return SortedPairs(std::move(pairs));
+}
+
+template <typename Index>
+std::string StateBytes(const Index& index) {
+  BinaryWriter writer;
+  index.SaveState(&writer);
+  return writer.buffer();
+}
+
+/// LoadState leaves the token index's live count at the table size; the
+/// owner restores it (the ID index keeps no live count).
+void RestoreLiveCount(IncrementalTokenOverlapIndex* index, size_t live) {
+  index->SetNumLive(live);
+}
+void RestoreLiveCount(IncrementalIdOverlapIndex*, size_t) {}
+
+/// Replays `schedule` on one index, checking it against the survivor
+/// reference after every step; halfway through, a second index is restored
+/// from the first one's state and replays the rest alongside it.
+template <typename Index, typename MakeIndex>
+void RunIndexSchedule(const IndexSchedule& schedule,
+                      const MakeIndex& make_index, const std::string& context) {
+  RecordTable table;
+  for (const Record& rec : schedule.initial) table.Add(rec);
+  std::vector<char> alive(table.size(), 1);
+  size_t live = table.size();
+  Index index = make_index();
+  index.AddRecords(table);
+  Index restored = make_index();
+  bool have_restored = false;
+  for (size_t k = 0; k < schedule.steps.size(); ++k) {
+    const IndexStep& step = schedule.steps[k];
+    if (!step.removals.empty()) {
+      for (RecordId r : step.removals) alive[static_cast<size_t>(r)] = 0;
+      live -= step.removals.size();
+      index.RemoveRecords(table, step.removals);
+      if (have_restored) restored.RemoveRecords(table, step.removals);
+    }
+    for (const Record& rec : step.adds) table.Add(rec);
+    alive.resize(table.size(), 1);
+    live += step.adds.size();
+    index.AddRecords(table);
+    if (have_restored) restored.AddRecords(table);
+
+    EXPECT_EQ(SortedPairs(index.CurrentPairs()),
+              SurvivorPairs<Index>(table, alive, make_index))
+        << context << " after step " << k;
+    if (k == schedule.steps.size() / 2) {
+      const std::string bytes = StateBytes(index);
+      BinaryReader reader(bytes);
+      EXPECT_TRUE(restored.LoadState(&reader).ok()) << context;
+      RestoreLiveCount(&restored, live);
+      have_restored = true;
+    }
+  }
+  EXPECT_TRUE(have_restored) << context;
+  EXPECT_EQ(StateBytes(restored), StateBytes(index)) << context;
+}
+
+/// Steps of `schedule` whose removal or addition half moves the live count
+/// across a multiple of `period` records.
+size_t CapMoves(const IndexSchedule& schedule, size_t period) {
+  size_t live = schedule.initial.size();
+  size_t moves = 0;
+  for (const IndexStep& step : schedule.steps) {
+    const size_t mid = live - step.removals.size();
+    const size_t end = mid + step.adds.size();
+    if (mid / period != live / period || end / period != mid / period) {
+      ++moves;
+    }
+    live = end;
+  }
+  return moves;
+}
+
+std::vector<Record> SecuritiesPool(uint64_t seed, size_t num_groups) {
+  SyntheticConfig config;
+  config.seed = seed;
+  config.num_groups = num_groups;
+  return FinancialGenerator(config).Generate().securities.records.records();
+}
+
+std::vector<Record> WdcProductPool(uint64_t seed, size_t num_entities) {
+  WdcConfig config;
+  config.seed = seed;
+  config.num_entities = num_entities;
+  return WdcProductsGenerator(config).Generate().records.records();
+}
+
+void TokenRemovalDifferential(const std::vector<Record>& pool,
+                              uint64_t seed_base,
+                              const std::string& fixture) {
+  // top_n = 2 makes displacement common; max_token_df = 1/8 puts the cap
+  // near the dfs of entity-level tokens, and moves it by one every eight
+  // live records, so the 3..10-record steps move it most of the time.
+  for (size_t min_overlap : {1u, 2u}) {
+    TokenOverlapBlocker::Options options;
+    options.top_n = 2;
+    options.min_overlap = min_overlap;
+    options.max_token_df = 0.125;
+    auto make_index = [&] { return IncrementalTokenOverlapIndex(options); };
+    for (uint64_t seed = seed_base; seed < seed_base + 4; ++seed) {
+      const IndexSchedule schedule = MakeIndexSchedule(pool, seed, 24);
+      RunIndexSchedule<IncrementalTokenOverlapIndex>(
+          schedule, make_index,
+          fixture + " min_overlap=" + std::to_string(min_overlap) +
+              " seed=" + std::to_string(seed));
+      EXPECT_GE(2 * CapMoves(schedule, 8), schedule.steps.size()) << fixture;
+    }
+  }
+}
+
+TEST(IncrementalTokenOverlapIndexTest, RemovalDifferentialSecurities) {
+  TokenRemovalDifferential(SecuritiesPool(505, 40), 100, "securities");
+}
+
+TEST(IncrementalTokenOverlapIndexTest, RemovalDifferentialWdcProducts) {
+  TokenRemovalDifferential(WdcProductPool(77, 60), 200, "wdc");
+}
+
+TEST(IncrementalIdOverlapIndexTest, RemovalDifferentialSecurities) {
+  // A small bucket cap makes overflow and re-admission common.
+  const std::vector<Record> pool = SecuritiesPool(505, 40);
+  auto make_index = [] { return IncrementalIdOverlapIndex(/*max_bucket=*/4); };
+  for (uint64_t seed = 300; seed < 304; ++seed) {
+    RunIndexSchedule<IncrementalIdOverlapIndex>(
+        MakeIndexSchedule(pool, seed, 24), make_index,
+        "securities seed=" + std::to_string(seed));
   }
 }
 

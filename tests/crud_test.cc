@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
@@ -753,6 +754,118 @@ TEST_F(FinancialCrud, CheckpointRoundTripCarriesTombstones) {
                    SurvivorReference(restored->records(), restored->alive(),
                                      config, matcher),
                    "restored vs survivors");
+}
+
+/// One Update batch over the live records of `records`: every `stride`-th
+/// live id from `offset` is rewritten, alternately with a payload from
+/// `other` (entirely new blocking keys) and with its own payload plus a
+/// name token. Both kinds move identifier buckets and token dfs, so one
+/// pass both retracts and admits pairs.
+std::vector<RecordUpdate> StridedUpdates(const RecordTable& records,
+                                         const std::vector<char>& alive,
+                                         const std::vector<Record>& other,
+                                         size_t stride, size_t offset) {
+  std::vector<RecordUpdate> batch;
+  size_t live_index = 0;
+  for (size_t i = 0; i < records.size(); ++i) {
+    if (!alive[i]) continue;
+    if (live_index++ % stride != offset % stride) continue;
+    RecordUpdate update;
+    update.id = static_cast<RecordId>(i);
+    if (batch.size() % 2 == 0 && !other.empty()) {
+      update.record = other[batch.size() % other.size()];
+    } else {
+      update.record = records.at(update.id);
+      update.record.Set("name",
+                        std::string(update.record.Get("name")) + " revised");
+    }
+    batch.push_back(std::move(update));
+  }
+  return batch;
+}
+
+TEST_F(FinancialCrud, CheckpointRoundTripAfterUpdate) {
+  // An Update is a removal and an addition in one pass, so one index delta
+  // can add a pair that another retracts. Such a pair must not linger in
+  // the candidate set with empty provenance: the checkpoint parser rejects
+  // it, so every image saved after an Update must restore.
+  JaccardMatcher matcher;
+  const std::vector<Record> other = FinancialPool(909, 12);
+  IncrementalPipelineConfig config = CrudConfig(2, 0.25);
+  IncrementalPipeline pipeline(config);
+  ASSERT_TRUE(pipeline.Ingest(*records_, matcher).ok());
+  for (size_t round = 0; round < 4; ++round) {
+    const std::string context = "round " + std::to_string(round);
+    ASSERT_TRUE(pipeline
+                    .Update(StridedUpdates(pipeline.records(), pipeline.alive(),
+                                           other, 4, round),
+                            matcher)
+                    .ok())
+        << context;
+    const std::string image = SerializeCheckpoint(pipeline).ValueOrDie();
+    Result<std::unique_ptr<IncrementalPipeline>> restored =
+        ParseCheckpoint(image, matcher);
+    ASSERT_TRUE(restored.ok()) << context << ": "
+                               << restored.status().message();
+    ExpectEquivalent(restored.ValueOrDie()->Snapshot().ValueOrDie(),
+                     pipeline.Snapshot().ValueOrDie(), context);
+    EXPECT_EQ(SerializeCheckpoint(*restored.ValueOrDie()).ValueOrDie(), image)
+        << context;
+  }
+  ExpectEquivalent(pipeline.Snapshot().ValueOrDie(),
+                   SurvivorReference(pipeline.records(), pipeline.alive(),
+                                     config, matcher),
+                   "after updates");
+}
+
+/// Ingest, Update with `first`, then mutate once more under `second` (a
+/// different fingerprint, so every candidate is rescored): the snapshot
+/// must equal the batch run with `second` on the survivors — rescoring
+/// reaches exactly the current candidates. `second` scales scores up so
+/// that nearly any scored pair turns positive: a non-candidate that got
+/// rescored would then show as a predicted pair.
+template <typename Pipeline>
+void ExpectFingerprintChangeAfterUpdateMatchesSurvivors(
+    Pipeline* pipeline, const std::vector<Record>& records,
+    const std::vector<Record>& other, const IncrementalPipelineConfig& config,
+    const std::string& context) {
+  JaccardMatcher first(1.0);
+  JaccardMatcher second(3.0);
+  ASSERT_NE(first.Fingerprint(), second.Fingerprint());
+  ASSERT_TRUE(pipeline->Ingest(records, first).ok()) << context;
+  for (size_t round = 0; round < 3; ++round) {
+    ASSERT_TRUE(pipeline
+                    ->Update(StridedUpdates(pipeline->records(),
+                                            pipeline->alive(), other, 4, round),
+                             first)
+                    .ok())
+        << context;
+  }
+  ASSERT_TRUE(pipeline
+                  ->Update(StridedUpdates(pipeline->records(), pipeline->alive(),
+                                          other, 9, 0),
+                           second)
+                  .ok())
+      << context;
+  ExpectEquivalent(pipeline->Snapshot().ValueOrDie(),
+                   SurvivorReference(pipeline->records(), pipeline->alive(),
+                                     config, second),
+                   context);
+}
+
+TEST_F(FinancialCrud, FingerprintChangeAfterUpdateMatchesSurvivors) {
+  const std::vector<Record> other = FinancialPool(909, 12);
+  IncrementalPipelineConfig config = CrudConfig(2, 0.25);
+  IncrementalPipeline incremental(config);
+  ExpectFingerprintChangeAfterUpdateMatchesSurvivors(
+      &incremental, *records_, other, config, "incremental");
+  ShardedPipelineConfig sharded_config;
+  sharded_config.base = config;
+  sharded_config.num_shards = 2;
+  sharded_config.router_seed = 3;
+  ShardedPipeline sharded(sharded_config);
+  ExpectFingerprintChangeAfterUpdateMatchesSurvivors(
+      &sharded, *records_, other, config, "sharded S=2");
 }
 
 TEST_F(FinancialCrud, MatchServiceExcludesTombstonedRecords) {
