@@ -570,6 +570,35 @@ void BM_TransformerPredict(benchmark::State& state) {
 }
 BENCHMARK(BM_TransformerPredict)->Arg(48)->Arg(96);
 
+// One packed PredictBatch call at the end-to-end benchmark's matcher shape
+// (d_model 32, 2 heads, 2 layers, d_ff 64): 64 sequences of 16-32 tokens,
+// ~24 on average. This is the rung under `matching.busy_s`. Unlike
+// BM_TransformerPredict (the unpruned single-sequence reference forward),
+// it runs the last block on the [CLS] rows only.
+void BM_TransformerPredictBatch(benchmark::State& state) {
+  TransformerConfig config;
+  config.vocab_size = 6000;
+  config.max_seq_len = 32;
+  TransformerClassifier model(config);
+  Rng rng(6);
+  std::vector<EncodedSequence> inputs(64);
+  for (EncodedSequence& seq : inputs) {
+    const size_t len = 16 + rng.Uniform(17);
+    for (size_t i = 0; i < len; ++i) {
+      seq.tokens.push_back(static_cast<int32_t>(rng.Uniform(6000)));
+      seq.segments.push_back(i < len / 2 ? 0 : 1);
+      seq.shared.push_back(rng.Uniform(4) == 0 ? 1 : 0);
+    }
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.PredictBatch(
+        Span<const EncodedSequence>(inputs.data(), inputs.size())));
+  }
+  state.SetItemsProcessed(
+      static_cast<int64_t>(state.iterations() * inputs.size()));
+}
+BENCHMARK(BM_TransformerPredictBatch);
+
 // Batched matcher inference: every iteration scores the same 256 fixture
 // pairs through TransformerMatcher::ScoreBatch in chunks of `batch`, so the
 // per-iteration work is constant and the batch:32 / batch:256 rows against
@@ -577,15 +606,8 @@ BENCHMARK(BM_TransformerPredict)->Arg(48)->Arg(96);
 // forward pass (one activation workspace and weight-matrix sweep per chunk
 // instead of per pair). Scores are bitwise-identical across rows by the
 // ScoreBatch contract — this knob trades nothing but allocator traffic.
-// Scores 256 fixed pairs through TransformerMatcher::ScoreBatch in chunks of
-// `batch`, so batch:1 is the per-pair baseline and batch:256 one packed
-// forward pass. The model is sized so the layer weights (~2.5 MB) exceed a
-// typical L2 cache with short sequences: that is the regime real transformer
-// inference lives in — per-pair scoring re-streams every weight matrix from
-// shared cache for each pair, while a packed batch streams them once per
-// layer. At the tiny default config (d_model 32, weights ~260 KB) everything
-// stays cache-hot and the batch rows collapse to within noise of each other,
-// which would benchmark the allocator, not the batching.
+// The model's layer weights (~2.5 MB) are sized to exceed a typical L2
+// cache, so per-pair scoring re-streams them per pair (docs/benchmarks.md).
 void BM_MatcherScoreBatch(benchmark::State& state) {
   const size_t batch = static_cast<size_t>(state.range(0));
   static const RecordTable* records = [] {

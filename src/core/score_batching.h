@@ -21,17 +21,23 @@ namespace gralmatch {
 class ThreadPool;
 
 /// Score `pairs` against `records` into `out` (out.size() == pairs.size())
-/// by slicing the pair list into contiguous chunks of at most `batch_size`
-/// pairs, calling matcher.ScoreBatch once per chunk, and fanning the chunks
-/// out across `pool` (serial when null).
+/// by slicing the pair list into contiguous chunks, calling
+/// matcher.ScoreBatch once per chunk, and fanning the chunks out across
+/// `pool` (serial when null).
 ///
-/// Deterministic by construction: chunk boundaries depend only on
-/// pairs.size() and batch_size, each chunk writes only its own out-slice,
-/// and the ScoreBatch contract makes every chunking bitwise-identical to
-/// per-pair scoring — so results are independent of both batch_size and
-/// thread count. A batch_size of 0 is treated as 1. Exceptions from the
-/// matcher propagate deterministically (lowest failing chunk first), which
-/// the pipelines rely on for their poisoning semantics.
+/// Chunking: the fewest chunks of at most `batch_size` pairs, rounded up to
+/// a multiple of the pool's workers when the job runs on the pool (never
+/// more chunks than pairs), with sizes that differ by at most one pair, so
+/// every worker gets the same share. Serial jobs (no pool, one worker, or a
+/// call from one of the pool's own workers) run ceil(n / batch_size) such
+/// chunks in order on the calling thread. A batch_size of 0 is treated as 1.
+///
+/// Deterministic: each chunk writes only its own out-slice, and the
+/// ScoreBatch contract makes every chunking bitwise-identical to per-pair
+/// scoring — so results are independent of batch_size, the chunk layout and
+/// the thread count. Exceptions from the matcher propagate deterministically
+/// (the lowest failing chunk's first), which the pipelines rely on for their
+/// poisoning semantics.
 void ScorePairsBatched(ThreadPool* pool, const RecordTable& records,
                        const PairwiseMatcher& matcher,
                        Span<const RecordPair> pairs, size_t batch_size,

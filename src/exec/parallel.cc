@@ -55,7 +55,11 @@ void ParallelFor(ThreadPool* pool, size_t begin, size_t end,
       MutexLock lock(&state->mu);
       if (err && c < state->error_chunk) {
         state->error_chunk = c;
-        state->error = err;
+        // Move, not copy: a copy left in `err` is released after the
+        // unlock, possibly after the caller has already handled (and
+        // dropped) the rethrown exception, so the object would be freed
+        // here, out of the caller's sight (see the release note below).
+        state->error = std::move(err);
       }
       if (--state->remaining == 0) state->cv.NotifyAll();
     });

@@ -12,16 +12,30 @@ namespace gralmatch {
 
 EpochStats Trainer::Evaluate(const TransformerClassifier& model,
                              const std::vector<TrainExample>& examples) {
+  // Scored through the packed PredictBatch forward in fixed-size chunks;
+  // its rows are bitwise Predict's, so the loss and counts are too.
+  constexpr size_t kChunk = 64;
   EpochStats stats;
   double loss = 0.0;
-  for (const auto& ex : examples) {
-    auto probs = model.Predict(ex.AsSequence());
-    loss += -std::log(std::max(probs[static_cast<size_t>(ex.label)], 1e-12f));
-    bool predicted_match = probs[1] >= probs[0];
-    if (predicted_match && ex.label == 1) ++stats.val_metrics.tp;
-    else if (predicted_match && ex.label == 0) ++stats.val_metrics.fp;
-    else if (!predicted_match && ex.label == 1) ++stats.val_metrics.fn;
-    else ++stats.val_metrics.tn;
+  std::vector<EncodedSequence> chunk;
+  for (size_t begin = 0; begin < examples.size(); begin += kChunk) {
+    const size_t end = std::min(examples.size(), begin + kChunk);
+    chunk.clear();
+    for (size_t i = begin; i < end; ++i) {
+      chunk.push_back(examples[i].AsSequence());
+    }
+    const Matrix probs = model.PredictBatch(
+        Span<const EncodedSequence>(chunk.data(), chunk.size()));
+    for (size_t i = begin; i < end; ++i) {
+      const TrainExample& ex = examples[i];
+      const float* p = probs.row(i - begin);
+      loss += -std::log(std::max(p[static_cast<size_t>(ex.label)], 1e-12f));
+      bool predicted_match = p[1] >= p[0];
+      if (predicted_match && ex.label == 1) ++stats.val_metrics.tp;
+      else if (predicted_match && ex.label == 0) ++stats.val_metrics.fp;
+      else if (!predicted_match && ex.label == 1) ++stats.val_metrics.fn;
+      else ++stats.val_metrics.tn;
+    }
   }
   stats.val_loss = examples.empty() ? 0.0 : loss / double(examples.size());
   return stats;

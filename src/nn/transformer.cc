@@ -79,6 +79,14 @@ void LayerNormBackward(const Matrix& dy, const Matrix& xhat,
   }
 }
 
+/// dst row i = src row rows[i] (dst is rows.size() x src.cols()).
+void GatherRows(const Matrix& src, Span<const size_t> rows, Matrix* dst) {
+  dst->Resize(rows.size(), src.cols());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    std::memcpy(dst->row(i), src.row(rows[i]), src.cols() * sizeof(float));
+  }
+}
+
 /// Copy head slice [h*dh, (h+1)*dh) of rows [row_begin, row_begin + rows) of
 /// src into dst (rows x dh). The packed batch forward slices one sequence's
 /// row range; the single-sequence path passes row_begin = 0.
@@ -229,6 +237,21 @@ struct TransformerClassifier::ForwardCache {
   Matrix lnf_xhat;
   std::vector<float> lnf_inv_std;
   Matrix yf;  // final LN output
+};
+
+/// PredictBatch's activations. Buffers are reshaped in place
+/// (Matrix::Resize keeps capacity), so steady-state scoring performs no
+/// heap allocation. Reuse is value-transparent: every buffer is fully
+/// overwritten (or zero-filled) before it is read.
+struct TransformerClassifier::PackedWorkspace {
+  /// Sequence s owns key rows [offset[s], offset[s+1]); its [CLS] row is
+  /// offset[s].
+  std::vector<size_t> offset;
+  /// 0, 1, ..., batch: the query-row ranges once only [CLS] rows remain.
+  std::vector<size_t> cls_offset;
+  Matrix x, y, yq, q, k, v, o, z, x2, y2, h1, f2, xhat, yf;
+  std::vector<float> inv_std;
+  Matrix qh, kh, vh, scores, oh;
 };
 
 TransformerClassifier::TransformerClassifier(TransformerConfig config)
@@ -409,10 +432,6 @@ Matrix TransformerClassifier::PredictBatch(
   Matrix probs(batch, config_.num_classes);
   if (batch == 0) return probs;
 
-  const size_t d = config_.d_model;
-  const size_t heads = config_.num_heads;
-  const size_t dh = d / heads;
-
   // Packed (length-concatenated) layout: sequence s owns rows
   // [offset[s], offset[s+1]) of every activation matrix. No padding rows
   // exist, so no FLOP is spent on pad tokens and no masking is needed —
@@ -421,21 +440,10 @@ Matrix TransformerClassifier::PredictBatch(
   // single-sequence forward; only attention, which couples rows within one
   // sequence, runs per sequence on its row range.
   //
-  // All activations live in a thread-local workspace whose buffers are
-  // reshaped in place (Matrix::Resize keeps capacity), so steady-state
-  // scoring performs no heap allocation at all. Without this, every packed
-  // activation matrix is large enough to hit the allocator's mmap path and
-  // the page-fault churn erases the batching win. Reuse is value-
-  // transparent: every buffer is fully overwritten (or zero-filled) before
-  // it is read, so results never depend on what a previous call left
-  // behind.
-  struct Workspace {
-    std::vector<size_t> offset;
-    Matrix x, y, q, k, v, o, z, x2, y2, h1, f2, xhat, yf;
-    std::vector<float> inv_std;
-    Matrix qh, kh, vh, scores, oh;
-  };
-  thread_local Workspace ws;
+  // The workspace is thread-local: without it, every packed activation
+  // matrix is large enough to hit the allocator's mmap path and the
+  // page-fault churn erases the batching win.
+  thread_local PackedWorkspace ws;
 
   std::vector<size_t>& offset = ws.offset;
   offset.assign(batch + 1, 0);
@@ -444,78 +452,93 @@ Matrix TransformerClassifier::PredictBatch(
     offset[s + 1] =
         offset[s] + std::min(inputs[s].tokens.size(), config_.max_seq_len);
   }
-  const size_t total = offset[batch];
+  ws.cls_offset.resize(batch + 1);
+  for (size_t s = 0; s <= batch; ++s) ws.cls_offset[s] = s;
 
-  Matrix& x = ws.x;
-  x.Resize(total, d);
+  ws.x.Resize(offset[batch], config_.d_model);
   for (size_t s = 0; s < batch; ++s) {
     EmbedSequenceRows(inputs[s], offset[s + 1] - offset[s], config_.vocab_size,
-                      embed_, pos_, seg_, shared_, offset[s], &x);
+                      embed_, pos_, seg_, shared_, offset[s], &ws.x);
   }
 
-  Matrix& y = ws.y;
-  Matrix& q = ws.q;
-  Matrix& k = ws.k;
-  Matrix& v = ws.v;
-  Matrix& o = ws.o;
-  Matrix& z = ws.z;
-  Matrix& x2 = ws.x2;
-  Matrix& y2 = ws.y2;
-  Matrix& h1 = ws.h1;
-  Matrix& f2 = ws.f2;
-  Matrix& xhat = ws.xhat;
-  std::vector<float>& inv_std = ws.inv_std;
-  Matrix& qh = ws.qh;
-  Matrix& kh = ws.kh;
-  Matrix& vh = ws.vh;
-  Matrix& scores = ws.scores;
-  Matrix& oh = ws.oh;
-  const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
+  // The head reads only the final [CLS] rows, so the last block computes
+  // its outputs for those rows alone; earlier blocks feed every row's keys
+  // and values onward and run in full.
   for (size_t l = 0; l < config_.num_layers; ++l) {
-    const LayerParams& p = layers_[l];
-
-    // --- Attention sublayer (pre-LN) ---
-    LayerNormForward(x, p.ln1_gamma, p.ln1_beta, &y, &xhat, &inv_std);
-    MatMul(y, p.wq.value, &q);
-    MatMul(y, p.wk.value, &k);
-    MatMul(y, p.wv.value, &v);
-    o.ResizeZero(total, d);
-    for (size_t s = 0; s < batch; ++s) {
-      const size_t begin = offset[s];
-      const size_t len = offset[s + 1] - begin;
-      for (size_t h = 0; h < heads; ++h) {
-        SliceHeadRange(q, begin, len, h, dh, &qh);
-        SliceHeadRange(k, begin, len, h, dh, &kh);
-        SliceHeadRange(v, begin, len, h, dh, &vh);
-        MatMulNT(qh, kh, &scores);
-        AttentionSoftmaxRows(&scores, scale);
-        MatMul(scores, vh, &oh);
-        UnsliceHeadRangeAcc(oh, begin, h, dh, &o);
-      }
-    }
-    MatMul(o, p.wo.value, &z);
-    x2 = x;
-    x2.Add(z);
-
-    // --- Feed-forward sublayer (pre-LN) ---
-    LayerNormForward(x2, p.ln2_gamma, p.ln2_beta, &y2, &xhat, &inv_std);
-    MatMul(y2, p.w1.value, &h1);
-    AddBiasReLU(&h1, p.b1);
-    MatMul(h1, p.w2.value, &f2);
-    AddBias(&f2, p.b2);
-    x2.Add(f2);
-    // Swap instead of move: x2's old buffer becomes next layer's scratch.
-    std::swap(x, x2);
+    PackedBlockForward(layers_[l], /*cls_only=*/l + 1 == config_.num_layers,
+                       &ws);
   }
 
   // Final LayerNorm + classification on each sequence's [CLS] row.
-  Matrix& yf = ws.yf;
-  LayerNormForward(x, lnf_gamma_, lnf_beta_, &yf, &xhat, &inv_std);
+  const std::vector<size_t>& cls_rows =
+      config_.num_layers > 0 ? ws.cls_offset : offset;
+  LayerNormForward(ws.x, lnf_gamma_, lnf_beta_, &ws.yf, &ws.xhat, &ws.inv_std);
   for (size_t s = 0; s < batch; ++s) {
-    ClassifyClsRow(yf.row(offset[s]), wc_, bc_, d, config_.num_classes,
-                   probs.row(s));
+    ClassifyClsRow(ws.yf.row(cls_rows[s]), wc_, bc_, config_.d_model,
+                   config_.num_classes, probs.row(s));
   }
   return probs;
+}
+
+void TransformerClassifier::PackedBlockForward(const LayerParams& p,
+                                               bool cls_only,
+                                               PackedWorkspace* ws) const {
+  const size_t d = config_.d_model;
+  const size_t heads = config_.num_heads;
+  const size_t dh = d / heads;
+  const std::vector<size_t>& offset = ws->offset;
+  const size_t batch = offset.size() - 1;
+
+  // --- Attention sublayer (pre-LN) ---
+  // Keys and values come from every row; queries, and everything after
+  // attention, only from the query rows. x2 starts as the query rows'
+  // residual input.
+  LayerNormForward(ws->x, p.ln1_gamma, p.ln1_beta, &ws->y, &ws->xhat,
+                   &ws->inv_std);
+  MatMul(ws->y, p.wk.value, &ws->k);
+  MatMul(ws->y, p.wv.value, &ws->v);
+  const Matrix* yq = &ws->y;
+  const std::vector<size_t>* q_offset = &offset;
+  if (cls_only) {
+    const Span<const size_t> cls_rows(offset.data(), batch);
+    GatherRows(ws->y, cls_rows, &ws->yq);
+    GatherRows(ws->x, cls_rows, &ws->x2);
+    yq = &ws->yq;
+    q_offset = &ws->cls_offset;
+  } else {
+    ws->x2 = ws->x;
+  }
+  MatMul(*yq, p.wq.value, &ws->q);
+  ws->o.ResizeZero(yq->rows(), d);
+  const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
+  for (size_t s = 0; s < batch; ++s) {
+    const size_t k_begin = offset[s];
+    const size_t k_len = offset[s + 1] - k_begin;
+    const size_t q_begin = (*q_offset)[s];
+    const size_t q_len = (*q_offset)[s + 1] - q_begin;
+    for (size_t h = 0; h < heads; ++h) {
+      SliceHeadRange(ws->q, q_begin, q_len, h, dh, &ws->qh);
+      SliceHeadRange(ws->k, k_begin, k_len, h, dh, &ws->kh);
+      SliceHeadRange(ws->v, k_begin, k_len, h, dh, &ws->vh);
+      MatMulNT(ws->qh, ws->kh, &ws->scores);
+      AttentionSoftmaxRows(&ws->scores, scale);
+      MatMul(ws->scores, ws->vh, &ws->oh);
+      UnsliceHeadRangeAcc(ws->oh, q_begin, h, dh, &ws->o);
+    }
+  }
+  MatMul(ws->o, p.wo.value, &ws->z);
+  ws->x2.Add(ws->z);
+
+  // --- Feed-forward sublayer (pre-LN) ---
+  LayerNormForward(ws->x2, p.ln2_gamma, p.ln2_beta, &ws->y2, &ws->xhat,
+                   &ws->inv_std);
+  MatMul(ws->y2, p.w1.value, &ws->h1);
+  AddBiasReLU(&ws->h1, p.b1);
+  MatMul(ws->h1, p.w2.value, &ws->f2);
+  AddBias(&ws->f2, p.b2);
+  ws->x2.Add(ws->f2);
+  // Swap instead of move: x's old buffer becomes the next block's scratch.
+  std::swap(ws->x, ws->x2);
 }
 
 float TransformerClassifier::Loss(const EncodedSequence& input,

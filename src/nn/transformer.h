@@ -79,6 +79,15 @@ class TransformerClassifier {
   /// — batching amortizes allocations and weight-matrix traffic, it never
   /// changes scores (tests/nn_test.cc pins this). Sequences must be
   /// non-empty.
+  ///
+  /// The forward computes only what the classifier head reads. The head
+  /// reads one row per sequence, the final [CLS] row, so the last encoder
+  /// block runs LN1, K and V on every row (attention reads every key) but
+  /// Q, attention, Wo, LN2, the FFN and the final LayerNorm only on the
+  /// gathered [CLS] rows. Those kernels are row-independent and attention
+  /// sums each row in the same order, so the pruned rows are bitwise what
+  /// the full block computes; ForwardImpl (Predict, Loss, training) stays
+  /// the unpruned reference.
   Matrix PredictBatch(Span<const EncodedSequence> inputs) const;
 
   /// Forward + backward for one example; accumulates gradients and returns
@@ -129,10 +138,18 @@ class TransformerClassifier {
 
   struct LayerCache;
   struct ForwardCache;
+  struct PackedWorkspace;
 
   /// Shared forward pass; cache may be null for inference.
   std::vector<float> ForwardImpl(const EncodedSequence& input,
                                  ForwardCache* cache) const;
+
+  /// One encoder block of PredictBatch's packed forward, in place on
+  /// ws->x. Every row is a key; the query rows are every row, or with
+  /// `cls_only` each sequence's [CLS] row, and ws->x leaves holding the
+  /// block output of the query rows only.
+  void PackedBlockForward(const LayerParams& p, bool cls_only,
+                          PackedWorkspace* ws) const;
   void BackwardImpl(const EncodedSequence& input, int label,
                     const ForwardCache& cache, const std::vector<float>& probs);
 

@@ -293,9 +293,9 @@ IngestReport ShardedPipeline::MutateImpl(
     std::sort(pairs.begin(), pairs.end());
     flat.insert(flat.end(), pairs.begin(), pairs.end());
   }
-  // Batched scoring over the flattened list: chunk boundaries depend only on
-  // flat.size() and score_batch_size (shard slices stay contiguous within
-  // it), so results are bitwise-identical to per-pair at any thread count.
+  // Batched scoring over the flattened list (core/score_batching.h): scores
+  // do not depend on the chunk layout, so results are bitwise-identical to
+  // per-pair at any thread count.
   Stopwatch scoring_watch;
   std::vector<double> scores(flat.size(), 0.0);
   {

@@ -221,8 +221,9 @@ IngestReport IncrementalPipeline::MutateImpl(
   }
   std::sort(to_score.begin(), to_score.end());
   // Batched scoring (core/score_batching.h): the sorted to-score list is cut
-  // into score_batch_size chunks, one ScoreBatch call each, fanned out over
-  // the pool — bitwise-identical to the per-pair walk at any thread count.
+  // into balanced chunks of at most score_batch_size, one ScoreBatch call
+  // each, fanned out over the pool — bitwise-identical to the per-pair walk
+  // at any thread count.
   Stopwatch scoring_watch;
   std::vector<double> scores(to_score.size(), 0.0);
   {

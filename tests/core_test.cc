@@ -1,6 +1,17 @@
 // Tests for the core GraLMatch module: the Pre-Cleanup, Algorithm 1 and the
 // end-to-end pipeline stage snapshots.
 
+#include <algorithm>
+#include <cmath>
+#include <future>
+#include <memory>
+#include <mutex>
+#include <set>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -8,6 +19,7 @@
 #include "core/embeddedness.h"
 #include "core/label_propagation.h"
 #include "core/pipeline.h"
+#include "core/score_batching.h"
 #include "exec/thread_pool.h"
 #include "matching/baselines.h"
 
@@ -355,6 +367,190 @@ TEST(PipelineTest, RunOnPredictionsSkipsInference) {
   EXPECT_EQ(result.predicted_pairs.size(), 2u);
   ASSERT_EQ(result.groups.size(), 2u);  // {0,1,2} and {3}
   EXPECT_EQ(result.groups[0].size(), 3u);
+}
+
+// --- ScorePairsBatched ------------------------------------------------------
+
+/// Scores a pair from its ids alone and records every ScoreBatch call:
+/// where its slice starts in the job, its size and the calling thread.
+/// Throws "pair <a>" on the pairs whose `a` is in `fail_on`.
+class RecordingMatcher : public PairwiseMatcher {
+ public:
+  struct Call {
+    size_t begin;
+    size_t count;
+    std::thread::id thread;
+  };
+
+  explicit RecordingMatcher(const RecordPair* job,
+                            std::set<RecordId> fail_on = {})
+      : job_(job), fail_on_(std::move(fail_on)) {}
+
+  static double Score(const RecordPair& p) {
+    return std::sin(0.37 * p.a) * std::exp(0.011 * p.b);
+  }
+
+  std::string name() const override { return "recording"; }
+  double MatchProbability(const Record&, const Record&) const override {
+    ADD_FAILURE() << "ScorePairsBatched must score through ScoreBatch";
+    return 0.0;
+  }
+  void ScoreBatch(const RecordTable&, Span<const RecordPair> pairs,
+                  Span<double> out) const override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      calls_.push_back({static_cast<size_t>(pairs.data() - job_),
+                        pairs.size(), std::this_thread::get_id()});
+    }
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      if (fail_on_.count(pairs[i].a) != 0) {
+        throw std::runtime_error("pair " + std::to_string(pairs[i].a));
+      }
+      out[i] = Score(pairs[i]);
+    }
+  }
+
+  std::vector<Call> calls() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return calls_;
+  }
+
+ private:
+  const RecordPair* const job_;
+  const std::set<RecordId> fail_on_;
+  mutable std::mutex mu_;
+  mutable std::vector<Call> calls_;
+};
+
+std::vector<RecordPair> ScoringJob(size_t n) {
+  std::vector<RecordPair> pairs;
+  for (size_t i = 0; i < n; ++i) {
+    pairs.push_back(RecordPair(static_cast<RecordId>(i),
+                               static_cast<RecordId>(n + i % 5)));
+  }
+  return pairs;
+}
+
+TEST(ScorePairsBatchedTest, BalancedWorkerAlignedChunksAndBitwiseScores) {
+  const RecordTable records;
+  for (size_t pool_size : {0u, 2u, 3u, 8u}) {
+    std::unique_ptr<ThreadPool> pool =
+        pool_size == 0 ? nullptr : std::make_unique<ThreadPool>(pool_size);
+    const size_t workers = pool_size == 0 ? 1 : pool_size;
+    for (size_t batch : {1u, 7u, 64u}) {
+      for (size_t n : {size_t{0}, size_t{1}, batch - 1, batch, batch + 1,
+                       3 * batch, 10 * batch + 3}) {
+        const std::string context = "pool=" + std::to_string(pool_size) +
+                                    " batch=" + std::to_string(batch) +
+                                    " n=" + std::to_string(n);
+        const std::vector<RecordPair> pairs = ScoringJob(n);
+        RecordingMatcher matcher(pairs.data());
+        std::vector<double> out(n, -1.0);
+        ScorePairsBatched(pool.get(), records, matcher,
+                          Span<const RecordPair>(pairs.data(), n), batch,
+                          Span<double>(out.data(), n));
+        for (size_t i = 0; i < n; ++i) {
+          // EXPECT_EQ, not NEAR: chunking must not change a single bit.
+          EXPECT_EQ(out[i], RecordingMatcher::Score(pairs[i]))
+              << context << " pair " << i;
+        }
+
+        std::vector<RecordingMatcher::Call> calls = matcher.calls();
+        if (pool == nullptr) {
+          // Serial: ceil(n / batch) calls in order on this thread.
+          EXPECT_EQ(calls.size(), (n + batch - 1) / batch) << context;
+          for (size_t c = 0; c < calls.size(); ++c) {
+            EXPECT_EQ(calls[c].thread, std::this_thread::get_id()) << context;
+            if (c > 0) {
+              EXPECT_LT(calls[c - 1].begin, calls[c].begin) << context;
+            }
+          }
+        }
+        std::sort(calls.begin(), calls.end(),
+                  [](const RecordingMatcher::Call& x,
+                     const RecordingMatcher::Call& y) {
+                    return x.begin < y.begin;
+                  });
+        // Contiguous tiling of [0, n) by equal chunks of <= batch pairs.
+        size_t next = 0, smallest = n, largest = 0;
+        for (const RecordingMatcher::Call& call : calls) {
+          EXPECT_EQ(call.begin, next) << context;
+          EXPECT_GE(call.count, 1u) << context;
+          EXPECT_LE(call.count, batch) << context;
+          next = call.begin + call.count;
+          smallest = std::min(smallest, call.count);
+          largest = std::max(largest, call.count);
+        }
+        EXPECT_EQ(next, n) << context;
+        if (!calls.empty()) {
+          EXPECT_LE(largest - smallest, 1u) << context;
+        }
+        // As few chunks as possible, rounded up to a multiple of the
+        // workers unless that needs more chunks than pairs.
+        const size_t min_chunks = (n + batch - 1) / batch;
+        const size_t aligned = (min_chunks + workers - 1) / workers * workers;
+        if (aligned <= n) {
+          EXPECT_EQ(calls.size() % workers, 0u) << context;
+          EXPECT_LT(calls.size(), min_chunks + workers) << context;
+        } else {
+          EXPECT_EQ(calls.size(), n) << context;
+        }
+      }
+    }
+  }
+}
+
+TEST(ScorePairsBatchedTest, CallFromAPoolWorkerUsesTheSerialLayout) {
+  // Nested in one of the pool's workers the job runs inline, so it is not
+  // rounded up to the worker count.
+  const RecordTable records;
+  ThreadPool pool(2);
+  const std::vector<RecordPair> pairs = ScoringJob(100);
+  RecordingMatcher matcher(pairs.data());
+  std::vector<double> out(pairs.size(), -1.0);
+  std::promise<std::thread::id> worker;
+  pool.Submit([&] {
+    ScorePairsBatched(&pool, records, matcher,
+                      Span<const RecordPair>(pairs.data(), pairs.size()), 7,
+                      Span<double>(out.data(), out.size()));
+    worker.set_value(std::this_thread::get_id());
+  });
+  const std::thread::id worker_id = worker.get_future().get();
+  const std::vector<RecordingMatcher::Call> calls = matcher.calls();
+  EXPECT_EQ(calls.size(), 15u);  // ceil(100 / 7), not 16
+  for (const RecordingMatcher::Call& call : calls) {
+    EXPECT_EQ(call.thread, worker_id);
+  }
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    EXPECT_EQ(out[i], RecordingMatcher::Score(pairs[i]));
+  }
+}
+
+TEST(ScorePairsBatchedTest, LowestFailingPairSurfaces) {
+  const RecordTable records;
+  const std::vector<RecordPair> pairs = ScoringJob(200);
+  for (size_t pool_size : {0u, 2u, 3u, 8u}) {
+    std::unique_ptr<ThreadPool> pool =
+        pool_size == 0 ? nullptr : std::make_unique<ThreadPool>(pool_size);
+    for (size_t batch : {1u, 7u, 64u}) {
+      for (const std::set<RecordId>& fail_on :
+           {std::set<RecordId>{37, 38, 150, 199}, std::set<RecordId>{199},
+            std::set<RecordId>{0, 120}}) {
+        RecordingMatcher matcher(pairs.data(), fail_on);
+        std::vector<double> out(pairs.size(), 0.0);
+        const std::string expected = "pair " + std::to_string(*fail_on.begin());
+        try {
+          ScorePairsBatched(pool.get(), records, matcher,
+                            Span<const RecordPair>(pairs.data(), pairs.size()),
+                            batch, Span<double>(out.data(), out.size()));
+          ADD_FAILURE() << "no exception; expected " << expected;
+        } catch (const std::runtime_error& err) {
+          EXPECT_EQ(err.what(), expected)
+              << "pool=" << pool_size << " batch=" << batch;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 // and verify the paper's qualitative claims (pre-cleanup precision collapse,
 // post-cleanup recovery, securities matching via issuer blocking).
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "blocking/id_overlap.h"
@@ -223,40 +225,47 @@ TEST_F(FinancialEndToEnd, BatchedTransformerScoringIdenticalToPerPair) {
   // The batched scoring path (ScorePairsBatched -> TransformerMatcher::
   // ScoreBatch -> packed PredictBatch) must reproduce the per-pair walk
   // bitwise for every thread count and batch size: identical predicted
-  // pairs, components, groups and counters.
+  // pairs, components, groups and counters. PredictBatch prunes the last
+  // block to the [CLS] rows; at one layer that block is also the first, so
+  // two layers are run as well.
   CandidateSet candidates = CompanyCandidates();
   auto candidate_vec = candidates.ToVector();
   ASSERT_GT(candidate_vec.size(), 400u);
   candidate_vec.resize(400);  // keep the transformer sweep fast
 
-  TransformerMatcherConfig tconfig;
-  tconfig.max_seq_len = 16;
-  tconfig.d_model = 16;
-  tconfig.num_layers = 1;
-  tconfig.d_ff = 32;
-  TransformerMatcher transformer(tconfig);
-  transformer.BuildVocab(bench_->companies.records);
-  PerPairOnlyMatcher per_pair(&transformer);
+  for (size_t layers : {1u, 2u}) {
+    TransformerMatcherConfig tconfig;
+    tconfig.max_seq_len = 16;
+    tconfig.d_model = 16;
+    tconfig.num_layers = layers;
+    tconfig.d_ff = 32;
+    TransformerMatcher transformer(tconfig);
+    transformer.BuildVocab(bench_->companies.records);
+    PerPairOnlyMatcher per_pair(&transformer);
 
-  PipelineConfig config;
-  config.pre_cleanup_threshold = 50;
-  config.score_batch_size = 1;
-  PipelineResult baseline = EntityGroupPipeline(config).Run(
-      bench_->companies, candidate_vec, per_pair);
+    PipelineConfig config;
+    config.pre_cleanup_threshold = 50;
+    config.score_batch_size = 1;
+    PipelineResult baseline = EntityGroupPipeline(config).Run(
+        bench_->companies, candidate_vec, per_pair);
 
-  for (size_t threads : {1u, 2u, 8u}) {
-    for (size_t batch : {1u, 7u, 64u}) {
-      config.num_threads = threads;
-      config.score_batch_size = batch;
-      PipelineResult result = EntityGroupPipeline(config).Run(
-          bench_->companies, candidate_vec, transformer);
-      EXPECT_EQ(result.predicted_pairs, baseline.predicted_pairs)
-          << "threads=" << threads << " batch=" << batch;
-      EXPECT_EQ(result.pre_cleanup_components, baseline.pre_cleanup_components)
-          << "threads=" << threads << " batch=" << batch;
-      EXPECT_EQ(result.groups, baseline.groups)
-          << "threads=" << threads << " batch=" << batch;
-      ExpectSameCountersAs(result.cleanup_stats, baseline.cleanup_stats);
+    for (size_t threads : {1u, 2u, 8u}) {
+      for (size_t batch : {1u, 7u, 64u}) {
+        config.num_threads = threads;
+        config.score_batch_size = batch;
+        PipelineResult result = EntityGroupPipeline(config).Run(
+            bench_->companies, candidate_vec, transformer);
+        const std::string context = "layers=" + std::to_string(layers) +
+                                    " threads=" + std::to_string(threads) +
+                                    " batch=" + std::to_string(batch);
+        EXPECT_EQ(result.predicted_pairs, baseline.predicted_pairs)
+            << context;
+        EXPECT_EQ(result.pre_cleanup_components,
+                  baseline.pre_cleanup_components)
+            << context;
+        EXPECT_EQ(result.groups, baseline.groups) << context;
+        ExpectSameCountersAs(result.cleanup_stats, baseline.cleanup_stats);
+      }
     }
   }
 }

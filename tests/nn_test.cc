@@ -2,8 +2,10 @@
 // transformer classifier (including a finite-difference gradient check that
 // validates the entire manual backprop).
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -269,7 +271,7 @@ TEST(TransformerTest, LearnsSeparableTask) {
   for (int i = 0; i < 300; ++i) {
     TrainExample ex;
     ex.label = static_cast<int>(rng.Uniform(2));
-    ex.tokens = {2};  // [CLS]
+    ex.tokens.assign(1, 2);  // [CLS]
     for (int t = 0; t < 4; ++t) {
       int32_t tok = static_cast<int32_t>(7 + rng.Uniform(12));
       ex.tokens.push_back(tok);
@@ -337,6 +339,53 @@ TEST(TrainerTest, EvaluateConfusionCounts) {
   EXPECT_GT(stats.val_loss, 0.0);
 }
 
+TEST(TrainerTest, EvaluateEqualsPerExamplePredict) {
+  // Evaluate scores through PredictBatch in chunks; 150 examples of
+  // lengths 1..9 (max_seq_len 6) span three chunks. Loss and counts must
+  // be bitwise what a per-example Predict loop gives, or the best-epoch
+  // choice could move. The model is half-trained on LearnsSeparableTask's
+  // rule (token 6 => class 1) so it predicts both classes.
+  TransformerClassifier model(TinyConfig(20));
+  Rng rng(21);
+  std::vector<TrainExample> examples;
+  for (int i = 0; i < 150; ++i) {
+    const size_t len = 1 + rng.Uniform(9);
+    std::vector<int32_t> tokens(1, 2);  // [CLS]
+    while (tokens.size() < len) {
+      tokens.push_back(static_cast<int32_t>(7 + rng.Uniform(12)));
+    }
+    const int label = static_cast<int>(rng.Uniform(2));
+    if (label == 1 && len > 1) tokens[1 + rng.Uniform(len - 1)] = 6;
+    examples.push_back({std::move(tokens), {}, {}, label});
+  }
+  Trainer::Options opts;
+  opts.epochs = 2;
+  opts.batch_size = 8;
+  opts.lr = 3e-3f;
+  Trainer(opts).Fit(&model, examples, examples);
+
+  double loss = 0.0;
+  BinaryMetrics expected;
+  for (const TrainExample& ex : examples) {
+    const std::vector<float> probs = model.Predict(ex.AsSequence());
+    loss += -std::log(std::max(probs[static_cast<size_t>(ex.label)], 1e-12f));
+    const bool predicted_match = probs[1] >= probs[0];
+    if (predicted_match && ex.label == 1) ++expected.tp;
+    else if (predicted_match && ex.label == 0) ++expected.fp;
+    else if (!predicted_match && ex.label == 1) ++expected.fn;
+    else ++expected.tn;
+  }
+  const EpochStats stats = Trainer::Evaluate(model, examples);
+  EXPECT_EQ(stats.val_loss, loss / double(examples.size()));
+  EXPECT_EQ(stats.val_metrics.tp, expected.tp);
+  EXPECT_EQ(stats.val_metrics.fp, expected.fp);
+  EXPECT_EQ(stats.val_metrics.fn, expected.fn);
+  EXPECT_EQ(stats.val_metrics.tn, expected.tn);
+  // Both classes are predicted, so the comparison covers every count.
+  EXPECT_GT(expected.tp + expected.fp, 0);
+  EXPECT_GT(expected.fn + expected.tn, 0);
+}
+
 TEST(TrainerTest, BestEpochRestored) {
   // With zero epochs of training data the trainer still behaves sanely.
   TransformerClassifier model(TinyConfig());
@@ -364,22 +413,53 @@ std::vector<EncodedSequence> MixedSequences() {
   inputs.push_back({{2, 9}, {}, {}});
   inputs.push_back({{2, 6, 9, 3, 9, 7}, {0, 0, 0, 1, 1, 1}, {0, 1, 0, 0, 1, 0}});
   inputs.push_back({std::vector<int32_t>(100, 6), {}, {}});  // truncated
-  inputs.push_back({{5}, {}, {}});
+  inputs.push_back({{5}, {}, {}});  // [CLS] only
+  inputs.push_back({{2, 7, 7, 8, 3, 6, 9}, {0, 0, 0, 1, 1, 1, 1},
+                    {1, 1, 0, 1, 1, 0, 0}});  // annotated and truncated
+  inputs.push_back({{2}, {1}, {1}});  // [CLS] only, annotated
   return inputs;
 }
 
-TEST(TransformerTest, PredictBatchBitwiseEqualsPredict) {
-  TransformerClassifier model(TinyConfig());
-  const std::vector<EncodedSequence> inputs = MixedSequences();
-  const Matrix probs =
-      model.PredictBatch(Span<const EncodedSequence>(inputs.data(), inputs.size()));
-  ASSERT_EQ(probs.rows(), inputs.size());
-  ASSERT_EQ(probs.cols(), 2u);
+void ExpectPredictBatchEqualsPredict(const TransformerClassifier& model,
+                                     const std::vector<EncodedSequence>& inputs,
+                                     const std::string& context) {
+  const Matrix probs = model.PredictBatch(
+      Span<const EncodedSequence>(inputs.data(), inputs.size()));
+  ASSERT_EQ(probs.rows(), inputs.size()) << context;
+  ASSERT_EQ(probs.cols(), 2u) << context;
   for (size_t s = 0; s < inputs.size(); ++s) {
     const std::vector<float> single = model.Predict(inputs[s]);
     for (size_t c = 0; c < 2; ++c) {
       // EXPECT_EQ, not NEAR: batching must not change a single bit.
-      EXPECT_EQ(probs.at(s, c), single[c]) << "sequence " << s << " class " << c;
+      EXPECT_EQ(probs.at(s, c), single[c])
+          << context << " sequence " << s << " class " << c;
+    }
+  }
+}
+
+TEST(TransformerTest, PredictBatchBitwiseEqualsPredict) {
+  // PredictBatch runs the last block on the [CLS] rows only, so depth 1
+  // (the pruned block is also the first), 2 and 3 and every head split
+  // are distinct cases. Trained weights (a few Adam steps) exercise
+  // non-init parameters and the ReLU zeros of a trained FFN.
+  const std::vector<EncodedSequence> inputs = MixedSequences();
+  for (size_t layers : {1u, 2u, 3u}) {
+    for (size_t heads : {1u, 2u, 4u}) {
+      TransformerConfig config = TinyConfig();
+      config.num_layers = layers;
+      config.num_heads = heads;
+      TransformerClassifier model(config);
+      const std::string context = "layers=" + std::to_string(layers) +
+                                  " heads=" + std::to_string(heads);
+      ExpectPredictBatchEqualsPredict(model, inputs, context + " init");
+      model.mutable_optimizer_options()->lr = 0.05f;
+      for (int round = 0; round < 3; ++round) {
+        for (size_t s = 0; s < inputs.size(); ++s) {
+          model.ForwardBackward(inputs[s], static_cast<int>((s + round) % 2));
+        }
+        model.Step();
+      }
+      ExpectPredictBatchEqualsPredict(model, inputs, context + " trained");
     }
   }
 }
