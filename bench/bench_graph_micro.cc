@@ -242,8 +242,8 @@ BENCHMARK(BM_FullRecompute)->Arg(4)->Arg(16)->ArgName("batches")
 // BM_ShardedIngest runs the BM_IncrementalIngest schedule (same fixture,
 // same config, fixed 16 batches) through a ShardedPipeline at S shards:
 // the shards:1 row vs BM_IncrementalIngest/batches:16 is the cost of the
-// exchange/merge layer, and shards:{2,4} vs shards:1 is the partitioning
-// behaviour. Same-artifact comparisons only, like every row here.
+// routing layer (the same engine runs behind it), and shards:{2,4} vs
+// shards:1 is the partitioning behaviour. Same-artifact comparisons only, like every row here.
 void BM_ShardedIngest(benchmark::State& state) {
   const size_t num_shards = static_cast<size_t>(state.range(0));
   constexpr size_t kBatches = 16;

@@ -1,9 +1,9 @@
 // Sharded serving story end to end: a synthetic securities feed streams in
-// batches through a ShardedPipeline (content-hash routed across --shards
-// shard-local states, candidates exchanged globally, scored shard-parallel,
-// merged into global components). Mid-stream the run exercises durability:
-// the pipeline is checkpointed to a manifest + per-shard files, destroyed,
-// restored from disk, and ingestion resumes.
+// batches through a ShardedPipeline (records content-hash routed across
+// --shards shards over one incremental engine that blocks, scores and
+// cleans globally). Mid-stream the run exercises durability: the pipeline
+// is checkpointed to a manifest + per-shard files, destroyed, restored
+// from disk, and ingestion resumes.
 //
 // The run exits nonzero unless the final snapshot is identical to BOTH
 //   (a) a from-scratch batch EntityGroupPipeline::Run on the union, and
@@ -11,8 +11,8 @@
 // i.e. it drives the shard-count-invariance and checkpoint contracts that
 // tests/shard_test.cc pins, through the public API.
 //
-// The sharded run is instrumented (obs/metrics.h): routing / exchange /
-// scoring / merge phase latencies, mutation counters, and the sharded
+// The sharded run is instrumented (obs/metrics.h): routing / blocking /
+// scoring / cleanup phase latencies, mutation counters, and the sharded
 // checkpoint save/load timings all land in one MetricsRegistry (the
 // unsharded control runs uninstrumented so the dump reflects the sharded
 // path only). `--metrics-dump text|json` prints the final scrape.

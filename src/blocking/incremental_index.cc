@@ -164,6 +164,16 @@ void MarkHolders(const std::vector<RecordId>& postings,
   for (RecordId r : postings) (*dirty)[static_cast<size_t>(r)] = 1;
 }
 
+/// A record's content tokens, sorted and deduplicated. Document-frequency
+/// eligibility is applied by the index, not here: the df bounds are a
+/// property of the whole record set.
+std::vector<std::string> ContentTokens(const Record& record) {
+  auto toks = TokenizeContentWords(record.AllText());
+  std::sort(toks.begin(), toks.end());
+  toks.erase(std::unique(toks.begin(), toks.end()), toks.end());
+  return toks;
+}
+
 }  // namespace
 
 uint32_t IncrementalTokenOverlapIndex::MaxDf() const {
@@ -265,40 +275,23 @@ void IncrementalTokenOverlapIndex::Rerank(
   }
 }
 
-std::vector<std::string> IncrementalTokenOverlapIndex::ExtractKeys(
-    const Record& record) {
-  auto toks = TokenizeContentWords(record.AllText());
-  std::sort(toks.begin(), toks.end());
-  toks.erase(std::unique(toks.begin(), toks.end()), toks.end());
-  return toks;
-}
-
 CandidateDelta IncrementalTokenOverlapIndex::AddRecords(
     const RecordTable& records, ThreadPool* pool) {
   const size_t old_n = num_records_;
   const size_t new_n = records.size();
   if (new_n <= old_n) return {};
+  const size_t num_new = new_n - old_n;
 
   // Tokenize the new records (deduplicated tokens); records are independent,
   // so this fans out.
-  std::vector<std::vector<std::string>> new_tokens(new_n - old_n);
+  std::vector<std::vector<std::string>> new_tokens(num_new);
   ParallelFor(
-      pool, 0, new_tokens.size(),
+      pool, 0, num_new,
       [&](size_t k) {
         new_tokens[k] =
-            ExtractKeys(records.at(static_cast<RecordId>(old_n + k)));
+            ContentTokens(records.at(static_cast<RecordId>(old_n + k)));
       },
       /*grain=*/32);
-  return AddPublishedRecords(records, std::move(new_tokens), pool);
-}
-
-CandidateDelta IncrementalTokenOverlapIndex::AddPublishedRecords(
-    const RecordTable& records, std::vector<std::vector<std::string>> published,
-    ThreadPool* pool) {
-  const size_t old_n = num_records_;
-  const size_t new_n = records.size();
-  if (new_n <= old_n) return {};
-  const size_t num_new = new_n - old_n;
 
   // Intern tokens and update document frequencies / postings in place. Ids
   // only grow, so appending keeps every postings list ascending.
@@ -308,8 +301,8 @@ CandidateDelta IncrementalTokenOverlapIndex::AddPublishedRecords(
   for (size_t k = 0; k < num_new; ++k) {
     const RecordId rid = static_cast<RecordId>(old_n + k);
     auto& ids = record_tokens_[static_cast<size_t>(rid)];
-    ids.reserve(published[k].size());
-    for (auto& tok : published[k]) {
+    ids.reserve(new_tokens[k].size());
+    for (auto& tok : new_tokens[k]) {
       auto [it, inserted] =
           token_id_.emplace(std::move(tok), static_cast<int32_t>(tokens_.size()));
       if (inserted) tokens_.emplace_back();
@@ -582,10 +575,10 @@ std::vector<RecordPair> BucketPairs(const RecordTable& records,
   return out;
 }
 
-}  // namespace
-
-std::vector<std::string> IncrementalIdOverlapIndex::ExtractKeys(
-    const Record& record) {
+/// A record's identifier values, in attribute order with repeats preserved
+/// (a record carrying one value under several attributes holds a place in
+/// its bucket once per attribute).
+std::vector<std::string> IdentifierValues(const Record& record) {
   std::vector<std::string> keys;
   for (const auto& attr : IdentifierAttributes()) {
     for (auto& value : record.GetMulti(attr)) {
@@ -595,22 +588,10 @@ std::vector<std::string> IncrementalIdOverlapIndex::ExtractKeys(
   return keys;
 }
 
+}  // namespace
+
 CandidateDelta IncrementalIdOverlapIndex::AddRecords(const RecordTable& records,
                                                      ThreadPool* pool) {
-  const size_t old_n = num_records_;
-  const size_t new_n = records.size();
-  if (new_n <= old_n) return {};
-  std::vector<std::vector<std::string>> published;
-  published.reserve(new_n - old_n);
-  for (size_t r = old_n; r < new_n; ++r) {
-    published.push_back(ExtractKeys(records.at(static_cast<RecordId>(r))));
-  }
-  return AddPublishedRecords(records, published, pool);
-}
-
-CandidateDelta IncrementalIdOverlapIndex::AddPublishedRecords(
-    const RecordTable& records,
-    const std::vector<std::vector<std::string>>& published, ThreadPool* pool) {
   const size_t old_n = num_records_;
   const size_t new_n = records.size();
   if (new_n <= old_n) return {};
@@ -620,7 +601,8 @@ CandidateDelta IncrementalIdOverlapIndex::AddPublishedRecords(
   // pointers key the touched set safely.
   std::unordered_map<const std::vector<RecordId>*, size_t> touched;
   for (size_t r = old_n; r < new_n; ++r) {
-    for (const auto& value : published[r - old_n]) {
+    for (const auto& value :
+         IdentifierValues(records.at(static_cast<RecordId>(r)))) {
       std::vector<RecordId>& holders = index_[value];
       touched.emplace(&holders, holders.size());
       holders.push_back(static_cast<RecordId>(r));
@@ -684,7 +666,7 @@ CandidateDelta IncrementalIdOverlapIndex::RemoveRecords(
   std::vector<BucketDiff> diffs;
   std::unordered_map<const std::vector<RecordId>*, size_t> touched;
   for (RecordId r : removed_ids) {
-    for (const auto& value : ExtractKeys(records.at(r))) {
+    for (const auto& value : IdentifierValues(records.at(r))) {
       auto it = index_.find(value);
       if (it == index_.end()) continue;
       std::vector<RecordId>& holders = it->second;

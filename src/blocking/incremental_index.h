@@ -79,25 +79,6 @@ class IncrementalTokenOverlapIndex {
   CandidateDelta AddRecords(const RecordTable& records,
                             ThreadPool* pool = nullptr);
 
-  /// The blocking keys one record publishes to a candidate-exchange layer:
-  /// its content tokens, sorted and deduplicated. Document-frequency
-  /// eligibility is deliberately *not* applied here — the df bounds are a
-  /// property of the global record set, which only the index (fed by every
-  /// shard's publications) can evaluate.
-  static std::vector<std::string> ExtractKeys(const Record& record);
-
-  /// Key-publication hook for the candidate-exchange layer
-  /// (shard/candidate_exchange.h): absorb records
-  /// [num_records(), records.size()) whose keys were already extracted by
-  /// the publishing side. `published[k]` must equal
-  /// ExtractKeys(records.at(num_records() + k)); AddRecords is exactly
-  /// ExtractKeys on each new record followed by this call, so both paths
-  /// produce identical deltas and identical index state.
-  CandidateDelta AddPublishedRecords(
-      const RecordTable& records,
-      std::vector<std::vector<std::string>> published,
-      ThreadPool* pool = nullptr);
-
   /// Retract previously added records. Each id in `removed_ids` (in range,
   /// unique, not yet removed) gives up its tokens: document frequencies
   /// drop and the max-df cap is recomputed from the live-record count.
@@ -205,20 +186,6 @@ class IncrementalIdOverlapIndex {
   /// IncrementalTokenOverlapIndex::AddRecords.
   CandidateDelta AddRecords(const RecordTable& records,
                             ThreadPool* pool = nullptr);
-
-  /// The blocking keys one record publishes: its identifier values, in
-  /// attribute order with repeats preserved (a record carrying one value
-  /// under several attributes publishes it once per attribute, exactly as
-  /// the index ingests it).
-  static std::vector<std::string> ExtractKeys(const Record& record);
-
-  /// Key-publication hook; same contract as the token index's
-  /// AddPublishedRecords: `published[k]` must equal
-  /// ExtractKeys(records.at(num_records() + k)).
-  CandidateDelta AddPublishedRecords(
-      const RecordTable& records,
-      const std::vector<std::vector<std::string>>& published,
-      ThreadPool* pool = nullptr);
 
   /// Retract previously added records: each removed id's identifier values
   /// release their holder entries (surviving holder order preserved, empty

@@ -232,8 +232,6 @@ PipelineMetrics PipelineMetrics::Create(MetricsRegistry* registry) {
   metrics.scoring_seconds = registry->GetHistogram("pipeline_scoring_seconds");
   metrics.cleanup_seconds = registry->GetHistogram("pipeline_cleanup_seconds");
   metrics.route_seconds = registry->GetHistogram("shard_route_seconds");
-  metrics.exchange_seconds = registry->GetHistogram("shard_exchange_seconds");
-  metrics.merge_seconds = registry->GetHistogram("shard_merge_seconds");
   metrics.mutations = registry->GetCounter("pipeline_mutations_total");
   metrics.records_added = registry->GetCounter("pipeline_records_added_total");
   metrics.records_removed =

@@ -217,8 +217,6 @@ struct PipelineMetrics {
   Histogram* scoring_seconds = nullptr;    ///< batched matcher inference
   Histogram* cleanup_seconds = nullptr;    ///< dirty-component graph cleanup
   Histogram* route_seconds = nullptr;      ///< shard routing of a mutation
-  Histogram* exchange_seconds = nullptr;   ///< global candidate exchange
-  Histogram* merge_seconds = nullptr;      ///< cross-shard component merge
   Counter* mutations = nullptr;            ///< ingest/remove/update batches
   Counter* records_added = nullptr;
   Counter* records_removed = nullptr;

@@ -29,7 +29,7 @@
 ///          .   u64 FNV-1a 64 checksum of every preceding byte
 ///
 /// Version stamping: version 2 added the per-shard tombstone section
-/// (ShardState::Save) for pipelines with removals. The writer stamps the
+/// (docs/formats.md) for pipelines with removals. The writer stamps the
 /// *lowest* version that can represent the state — a pipeline with no dead
 /// records produces byte-identical version 1 files, so pre-tombstone
 /// readers keep loading tombstone-free checkpoints. The stamp is uniform:

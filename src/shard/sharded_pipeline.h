@@ -2,83 +2,59 @@
 #define GRALMATCH_SHARD_SHARDED_PIPELINE_H_
 
 /// \file sharded_pipeline.h
-/// Partitioned incremental matching: the record space is split across S
-/// shard-local states so ingest scales beyond one pipeline's memory and
-/// lock domain, while the result stays *exactly* the single pipeline's.
+/// Sharded matching: record routing plus a partitioned checkpoint layout
+/// over one incremental engine.
 ///
-/// Each Ingest round runs four phases:
+/// Blocking, scoring and cleanup are global computations — a token's
+/// document frequency, an identifier bucket's size and a component's
+/// cleanup all depend on records of every shard — so the pipeline runs
+/// them once, in one owned IncrementalPipeline (stream/incremental_pipeline.h).
+/// The engine holds all matching state: records, tombstones, blocking
+/// indexes, candidate provenance, the score cache, the positive set and the
+/// component store, and it is the only mutation path. This layer adds two
+/// things:
 ///
-///  1. Route: a deterministic content-hash ShardRouter assigns every new
-///     record to a shard (shard_router.h). Pair ownership follows record
-///     ownership: a pair belongs to the shard of its smaller record id.
-///  2. Exchange: shards publish their new records' blocking keys
-///     (identifier values, content tokens) and the CandidateExchange folds
-///     every publication into global incremental indexes, producing the
-///     exact candidate-pair delta — including pairs and retractions that
-///     span shards (candidate_exchange.h).
-///  3. Score: each shard scores the delta pairs it owns that miss its
-///     shard-local cache, all shards concurrently on one ThreadPool (the
-///     flattened task list keeps per-shard slices contiguous).
-///  4. Merge: every shard's positive-edge transitions are merged and
-///     union-found into *global* components — cross-shard edges join
-///     components living on different shards — and the shared
-///     dirty-component cleanup (stream/group_store.h) re-cleans exactly the
-///     touched region.
-///
-/// Remove() and Update() extend the same machinery to the full CRUD
-/// surface: a removal tombstones the records (ids are never recycled and
-/// payloads stay in the table), the exchange retracts their blocking keys
-/// globally, owner shards evict the cached scores the dead records touch,
-/// and the dirty-component cleanup re-cleans exactly the components that
-/// lost a node or an edge. An update is an exact remove-then-add of the new
-/// payload inside one mutation round.
+///  1. Routing: after every engine call, a deterministic content-hash
+///     ShardRouter (shard_router.h) assigns each record the call appended to
+///     a shard. Record ids stay global and contiguous. A pair belongs to the
+///     shard of its smaller record id, a component to the shard of its
+///     smallest node.
+///  2. Checkpoint layout: shards partition the checkpoint, not the
+///     computation. Each shard file holds the shard's records and
+///     tombstones, the cached scores and positives of the pairs it owns,
+///     and the components it owns; a manifest ties the files together
+///     (serve/sharded_checkpoint.h). Loading reassembles one engine and
+///     finishes through the engine's own restore checks.
 ///
 /// Schedule-equivalence contract (enforced by tests/shard_test.cc and
-/// tests/crud_test.cc): Snapshot() after ANY interleaved add/update/delete
-/// schedule, at any shard count S and any thread count, is identical —
-/// predicted pairs, pre-cleanup components, groups, and all cleanup
-/// counters — to the S=1 result, to IncrementalPipeline on the same
-/// mutation sequence, and to a from-scratch EntityGroupPipeline::Run on the
-/// final surviving record set. The argument: the exchange reproduces the
-/// global candidate set exactly (additions and retractions both); a pair's
-/// owner shard is stable, so the union of shard caches equals the single
-/// cache key-for-key (each pair scored at most once per fingerprint,
-/// pipeline-wide); the positive set is the same threshold test on the same
-/// scores; and the merge feeds the identical transition stream to the
-/// identical GroupStore machinery.
-///
-/// Checkpoints are partitioned the same way the state is: one framed file
-/// per shard plus a manifest (serve/sharded_checkpoint.h).
+/// tests/crud_test.cc): after ANY interleaved add/update/delete schedule,
+/// at any shard count and thread count, Snapshot() and every IngestReport
+/// equal IncrementalPipeline's on the same schedule, and Snapshot() equals
+/// a from-scratch EntityGroupPipeline::Run on the surviving records.
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "data/record.h"
 #include "matching/matcher.h"
-#include "shard/candidate_exchange.h"
 #include "shard/shard_router.h"
-#include "shard/shard_state.h"
-#include "stream/group_store.h"
 #include "stream/incremental_pipeline.h"
 
 namespace gralmatch {
 
 class BinaryReader;
 class BinaryWriter;
-class ThreadPool;
 
 /// Parameters of the sharded pipeline: the incremental pipeline's config
 /// plus the partitioning.
 struct ShardedPipelineConfig {
   /// Blocking/threshold/cleanup/num_threads semantics are exactly the
-  /// incremental pipeline's; num_threads sizes the one pool all shards
-  /// share.
+  /// incremental pipeline's (the engine runs with this config).
   IncrementalPipelineConfig base;
-  /// Number of shard-local states (clamped to at least 1).
+  /// Number of shards (clamped to at least 1).
   size_t num_shards = 1;
   /// Router seed: changes the partition, never the result.
   uint64_t router_seed = 0;
@@ -93,48 +69,39 @@ class ShardedPipeline {
   ShardedPipeline(const ShardedPipeline&) = delete;
   ShardedPipeline& operator=(const ShardedPipeline&) = delete;
 
-  /// Route, exchange, score and merge one batch; see file comment. The
-  /// returned report is identical to the one IncrementalPipeline would
-  /// return for the same ingest sequence (same scoring and cache-hit
-  /// counts, same dirty-component scoping — only wall-clock differs).
-  /// Same fail-fast contract as IncrementalPipeline::Ingest: a matcher
-  /// throw poisons the pipeline and every later call returns a clean error.
+  /// IncrementalPipeline::Ingest, then route the new records. Report,
+  /// fingerprint handling and the poison fail-fast are the engine's.
   Result<IngestReport> Ingest(const std::vector<Record>& batch,
                               const PairwiseMatcher& matcher);
 
-  /// Tombstone `ids` pipeline-wide; exact mirror of
-  /// IncrementalPipeline::Remove. Every id must be in range, alive and
+  /// IncrementalPipeline::Remove: every id must be in range, alive and
   /// unique — a bad set is an InvalidArgument error and mutates nothing.
-  /// `matcher` may be consulted: a cross-shard retraction can re-admit a
-  /// bucket or token that was previously over its cap, and re-admitted
-  /// never-scored pairs must be scored.
+  /// Tombstoned records keep their slot and their shard.
   Result<IngestReport> Remove(const std::vector<RecordId>& ids,
                               const PairwiseMatcher& matcher);
 
-  /// Replace each record's payload: an exact removal of the old ids plus an
-  /// ingest of the new payloads in one mutation round (one dirty-component
-  /// pass). New payloads get fresh ids; same validation as Remove.
+  /// IncrementalPipeline::Update, then route the replacement records. A
+  /// rejected batch appends, and so routes, nothing.
   Result<IngestReport> Update(const std::vector<RecordUpdate>& batch,
                               const PairwiseMatcher& matcher);
 
   /// Current result; see the schedule-equivalence contract above.
-  Result<PipelineResult> Snapshot() const;
+  Result<PipelineResult> Snapshot() const { return engine_.Snapshot(); }
 
   /// OK, or the poison error describing why the pipeline must be discarded.
-  Status status() const;
+  Status status() const { return engine_.status(); }
 
   /// All ingested records in ingest order, ids assigned contiguously
   /// (global ids — shard membership never renumbers a record). Tombstoned
   /// records keep their slot; check is_alive().
-  const RecordTable& records() const { return records_; }
+  const RecordTable& records() const { return engine_.records(); }
 
   /// Liveness per record id (parallel to records()); 1 = alive.
-  const std::vector<char>& alive() const { return alive_; }
-  bool is_alive(RecordId id) const {
-    return alive_[static_cast<size_t>(id)] != 0;
-  }
-  size_t num_dead() const { return num_dead_; }
-  size_t num_live() const { return records_.size() - num_dead_; }
+  const std::vector<char>& alive() const { return engine_.alive(); }
+  /// False for tombstoned and out-of-range ids.
+  bool is_alive(RecordId id) const { return engine_.is_alive(id); }
+  size_t num_dead() const { return engine_.num_dead(); }
+  size_t num_live() const { return engine_.num_live(); }
 
   const ShardedPipelineConfig& config() const { return config_; }
 
@@ -144,67 +111,61 @@ class ShardedPipeline {
   /// recording into a caller-owned registry.
   void set_metrics(obs::MetricsRegistry* metrics) {
     config_.base.pipeline.metrics = metrics;
+    engine_.set_metrics(metrics);
   }
 
   const ShardRouter& router() const { return router_; }
-  size_t num_shards() const { return shards_.size(); }
+  size_t num_shards() const { return router_.num_shards(); }
 
-  /// Records currently owned by `shard`.
-  size_t ShardRecordCount(size_t shard) const {
-    return shards_[shard].owned.size();
-  }
+  /// Records (live or tombstoned) routed to `shard`.
+  size_t ShardRecordCount(size_t shard) const;
 
-  /// Fingerprint of the matcher used by the last Ingest ("" before the
-  /// first); the manifest checkpoint stores it like the single-pipeline
-  /// checkpoint does.
-  const std::string& fingerprint() const { return fingerprint_; }
+  /// Fingerprint of the matcher used by the last mutation ("" before the
+  /// first); the manifest stores it like the single-file checkpoint does.
+  const std::string& fingerprint() const { return engine_.fingerprint(); }
 
-  /// Cumulative matcher invocations / cache hits, summed over shards.
-  size_t total_matcher_calls() const;
-  size_t total_cache_hits() const;
+  /// Cumulative matcher invocations / cache hits, pipeline-wide.
+  size_t total_matcher_calls() const { return engine_.total_matcher_calls(); }
+  size_t total_cache_hits() const { return engine_.total_cache_hits(); }
 
   // -- Checkpoint bodies ----------------------------------------------------
   // Framing (magic, version, per-file checksums, the manifest's per-shard
-  // checksum list) is serve/sharded_checkpoint.h's job.
+  // checksum list) is serve/sharded_checkpoint.h's job; the byte layouts
+  // are in docs/formats.md.
 
-  /// Global coordinator state: config (shard count and router seed
-  /// included), fingerprint, record count, component-id high-water mark and
-  /// cumulative wall-clock totals. Everything else lives in shard bodies.
+  /// Global state: config (shard count and router seed included),
+  /// fingerprint, record count, component-id high-water mark and cumulative
+  /// wall-clock totals. Everything else lives in shard bodies.
   Status SerializeManifestBody(BinaryWriter* writer) const;
 
   /// Every shard's slice, one writer per shard (`writers` is resized to
   /// num_shards()): its records (with global ids), its tombstones (only
   /// when the pipeline has any dead record — tombstone-free pipelines keep
   /// the version 1 byte layout, serve/sharded_checkpoint.h stamps the
-  /// version to match), score cache, positives, counters, and the
-  /// components whose smallest node it owns. All slices serialize in one
-  /// call so the component store is bucketed by owner shard in a single
-  /// pass instead of scanned once per shard.
+  /// version to match), the scores and positives of the pairs it owns, the
+  /// matcher-call and cache-hit counters (shard 0 carries the pipeline
+  /// totals, the others 0), and the components it owns. One pass buckets
+  /// each piece of engine state by owner shard.
   Status SerializeShardBodies(std::vector<BinaryWriter>* writers) const;
 
   /// Reassemble a pipeline from a manifest body and all S shard bodies (in
-  /// shard order), parsed under checkpoint format `version`. The global
-  /// blocking indexes are rebuilt from the reassembled record table and
-  /// tombstone set — index state is a pure function of (records,
-  /// tombstones), so the rebuilt exchange produces exactly the deltas the
-  /// saved one would — and every cross-shard invariant is re-validated:
-  /// record ids must cover [0, n) exactly, each record must route to the
-  /// shard that stored it, every candidate must be scored in its owner
-  /// shard's cache, positives must be owned candidates, components must
-  /// partition consistently and never contain a tombstoned record. Any
-  /// violation is a clean error.
+  /// shard order), parsed under checkpoint format `version`. The layout is
+  /// checked here: record ids must tile [0, n) exactly, each record must
+  /// route to the shard that stored it, each tombstone, cached score,
+  /// positive and component must sit with its owner shard, and no positive
+  /// may appear twice. Counter slots are summed across shards. The engine's
+  /// restore then rebuilds the blocking indexes from the records and
+  /// tombstones and re-verifies every cross-field invariant. Any violation
+  /// is a clean error.
   static Result<std::unique_ptr<ShardedPipeline>> DeserializeFromParts(
       BinaryReader* manifest_body, std::vector<BinaryReader>* shard_bodies,
       uint32_t version, size_t num_threads_override = 0);
 
  private:
-  IngestReport MutateImpl(const std::vector<Record>& adds,
-                          const std::vector<RecordId>& removal_ids,
-                          const PairwiseMatcher& matcher);
-
-  Status ValidateRemovals(const std::vector<RecordId>& ids) const;
-
-  Status PoisonError() const;
+  /// Route the records the engine appended since the last call, then pass
+  /// the call's result through. Runs after every engine call, whatever its
+  /// outcome, so shard_of_record_ always covers records().
+  Result<IngestReport> Routed(Result<IngestReport> result);
 
   /// Owner shard of a pair: the shard of its smaller record id.
   size_t OwnerOf(const RecordPair& pair) const {
@@ -213,29 +174,9 @@ class ShardedPipeline {
 
   ShardedPipelineConfig config_;
   ShardRouter router_;
-  std::unique_ptr<ThreadPool> pool_;
-  RecordTable records_;
-  /// Liveness per record id (parallel to records_); tombstoned slots stay.
-  std::vector<char> alive_;
-  size_t num_dead_ = 0;
-  /// Shard per record id (parallel to records_).
+  IncrementalPipeline engine_;
+  /// Shard per record id (parallel to records()).
   std::vector<uint32_t> shard_of_record_;
-  std::vector<ShardState> shards_;
-  CandidateExchange exchange_;
-
-  /// Current candidate pairs -> blocker provenance bits (global: the
-  /// cleanup needs provenance for pairs of any shard).
-  std::unordered_map<RecordPair, uint32_t, RecordPairHash> candidate_prov_;
-  std::string fingerprint_;
-
-  /// Global components (cross-shard edges merge shard-disjoint node sets).
-  GroupStore store_;
-
-  bool poisoned_ = false;
-  std::string poison_reason_;
-
-  double scoring_seconds_total_ = 0.0;
-  double cleanup_seconds_total_ = 0.0;
 };
 
 }  // namespace gralmatch

@@ -297,8 +297,7 @@ void GroupStore::Save(BinaryWriter* writer) const {
   writer->WriteI32(next_comp_id_);
 }
 
-Status GroupStore::Load(BinaryReader* reader, size_t num_records,
-                        const IsPositiveFn& is_positive) {
+Status GroupStore::Load(BinaryReader* reader, size_t num_records) {
   comp_of_node_.clear();
   comps_.clear();
   next_comp_id_ = 0;
@@ -354,8 +353,7 @@ Status GroupStore::Load(BinaryReader* reader, size_t num_records,
       }
     }
   }
-  GRALMATCH_RETURN_NOT_OK(reader->ReadI32(&next_comp_id_));
-  return Validate(is_positive);
+  return reader->ReadI32(&next_comp_id_);
 }
 
 Status GroupStore::InsertComponent(int32_t cid, ComponentState comp,

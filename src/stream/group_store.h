@@ -2,9 +2,10 @@
 #define GRALMATCH_STREAM_GROUP_STORE_H_
 
 /// \file group_store.h
-/// Incrementally maintained component/group state shared by the streaming
-/// and sharded pipelines: the connected components of the pristine
-/// (pre-cleanup) positive-edge graph, each with its cached cleanup outcome.
+/// Incrementally maintained component/group state of the incremental
+/// pipeline (stream/incremental_pipeline.h): the connected components of
+/// the pristine (pre-cleanup) positive-edge graph, each with its cached
+/// cleanup outcome.
 ///
 /// Apply() is the dirty-component cleanup step. Given the positive-edge
 /// transitions of one ingest (edges added / removed / provenance-changed),
@@ -16,11 +17,10 @@
 /// — exactly the edge-id order a from-scratch run on the union would assign
 /// — so every cleanup tie-break matches the batch pipeline.
 ///
-/// The store is agnostic to where the positive edges come from: the
-/// single-pipeline caller feeds it one candidate set's transitions, the
-/// sharded pipeline feeds it the union-find merge of every shard's
-/// transitions (cross-shard edges union components that live on different
-/// shards, which is why the store is global, never per-shard).
+/// The store is global, never per-shard: a positive edge between records
+/// routed to different shards unions their components like any other
+/// edge. Shards only partition the checkpoint, where each component is
+/// stored with the shard that owns its smallest node.
 
 #include <cstdint>
 #include <functional>
@@ -104,11 +104,10 @@ class GroupStore {
   /// the PR-4 checkpoint body layout.
   void Save(BinaryWriter* writer) const;
 
-  /// Restore Save() output, re-validating every cross-field invariant
-  /// (membership agreement, sorted-unique node lists, edges positive and
-  /// internal, fresh next id). Replaces the current contents.
-  Status Load(BinaryReader* reader, size_t num_records,
-              const IsPositiveFn& is_positive);
+  /// Restore Save() output, checking the store's own invariants
+  /// (membership agreement, sorted-unique node lists). Replaces the current
+  /// contents. Finish with Validate once the positive set is known.
+  Status Load(BinaryReader* reader, size_t num_records);
 
   // -- Piecewise reconstruction (sharded manifest checkpoints) --------------
 
@@ -119,9 +118,9 @@ class GroupStore {
 
   void SetNextComponentId(int32_t next) { next_comp_id_ = next; }
 
-  /// Cross-field checks shared with Load: every component edge is a current
-  /// positive pair with both endpoints inside its component, and every
-  /// component id lies in [0, next_comp_id).
+  /// Cross-field checks that finish both restore paths: every component
+  /// edge is a current positive pair with both endpoints inside its
+  /// component, and every component id lies in [0, next_comp_id).
   Status Validate(const IsPositiveFn& is_positive) const;
 
   const std::unordered_map<int32_t, ComponentState>& components() const {
@@ -144,8 +143,8 @@ class GroupStore {
 /// Serialize one component's canonical byte encoding — nodes, pairs,
 /// cleaned groups, cleanup counters. The single definition shared by the
 /// whole-store serialization (GroupStore::Save) and the per-shard
-/// checkpoint slices (shard/shard_state.h), so the two formats can never
-/// drift field-by-field.
+/// checkpoint slices (shard/sharded_pipeline.h), so the two formats can
+/// never drift field-by-field.
 void WriteComponentState(const GroupStore::ComponentState& comp,
                          BinaryWriter* writer);
 

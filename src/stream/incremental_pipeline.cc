@@ -488,22 +488,6 @@ Result<std::unique_ptr<IncrementalPipeline>> IncrementalPipeline::Deserialize(
   pipeline->token_index_.SetNumLive(n - pipeline->num_dead_);
 
   GRALMATCH_RETURN_NOT_OK(reader->ReadString(&pipeline->fingerprint_));
-  // Pair ids feed unchecked records_.at() lookups in Ingest, so they are
-  // range-validated here like every other record reference. Tombstoned
-  // records retract every pair they touch, so a candidate, cached score or
-  // positive referencing one is corruption.
-  auto check_pair = [n, &pipeline](const RecordPair& pair) {
-    if (pair.a < 0 || pair.b < 0 || static_cast<size_t>(pair.a) >= n ||
-        static_cast<size_t>(pair.b) >= n) {
-      return Status::IOError("corrupted checkpoint: record pair out of range");
-    }
-    if (!pipeline->alive_[static_cast<size_t>(pair.a)] ||
-        !pipeline->alive_[static_cast<size_t>(pair.b)]) {
-      return Status::IOError(
-          "corrupted checkpoint: record pair references a tombstoned record");
-    }
-    return Status::OK();
-  };
   uint64_t count = 0;
   GRALMATCH_RETURN_NOT_OK(reader->ReadCount(12, &count));
   pipeline->candidate_prov_.reserve(static_cast<size_t>(count));
@@ -513,7 +497,6 @@ Result<std::unique_ptr<IncrementalPipeline>> IncrementalPipeline::Deserialize(
     GRALMATCH_RETURN_NOT_OK(reader->ReadI32(&pair.a));
     GRALMATCH_RETURN_NOT_OK(reader->ReadI32(&pair.b));
     GRALMATCH_RETURN_NOT_OK(reader->ReadU32(&prov));
-    GRALMATCH_RETURN_NOT_OK(check_pair(pair));
     pipeline->candidate_prov_[pair] = prov;
   }
   GRALMATCH_RETURN_NOT_OK(reader->ReadCount(16, &count));
@@ -524,46 +507,107 @@ Result<std::unique_ptr<IncrementalPipeline>> IncrementalPipeline::Deserialize(
     GRALMATCH_RETURN_NOT_OK(reader->ReadI32(&pair.a));
     GRALMATCH_RETURN_NOT_OK(reader->ReadI32(&pair.b));
     GRALMATCH_RETURN_NOT_OK(reader->ReadDouble(&score));
-    GRALMATCH_RETURN_NOT_OK(check_pair(pair));
     pipeline->score_cache_[pair] = score;
   }
   std::vector<RecordPair> positives;
   GRALMATCH_RETURN_NOT_OK(ReadRecordPairs(reader, n, &positives));
   pipeline->positives_.insert(positives.begin(), positives.end());
 
+  GRALMATCH_RETURN_NOT_OK(pipeline->store_.Load(reader, n));
+
+  GRALMATCH_RETURN_NOT_OK(reader->ReadU64(&u));
+  pipeline->total_matcher_calls_ = static_cast<size_t>(u);
+  GRALMATCH_RETURN_NOT_OK(reader->ReadU64(&u));
+  pipeline->total_cache_hits_ = static_cast<size_t>(u);
+  GRALMATCH_RETURN_NOT_OK(reader->ReadDouble(&pipeline->scoring_seconds_total_));
+  GRALMATCH_RETURN_NOT_OK(reader->ReadDouble(&pipeline->cleanup_seconds_total_));
+  GRALMATCH_RETURN_NOT_OK(pipeline->FinishRestore(/*rebuild_blocking=*/false));
+  return pipeline;
+}
+
+Status IncrementalPipeline::FinishRestore(bool rebuild_blocking) {
+  const size_t n = records_.size();
+  if (rebuild_blocking) {
+    std::vector<RecordId> dead_ids;
+    for (size_t r = 0; r < n; ++r) {
+      if (!alive_[r]) dead_ids.push_back(static_cast<RecordId>(r));
+    }
+    candidate_prov_.clear();
+    if (config_.use_id_blocker) {
+      (void)id_index_.AddRecords(records_, pool_.get());
+      (void)id_index_.RemoveRecords(records_, dead_ids, pool_.get());
+      for (const RecordPair& pair : id_index_.CurrentPairs()) {
+        candidate_prov_[pair] |= kBlockerIdOverlap;
+      }
+    }
+    if (config_.use_token_blocker) {
+      (void)token_index_.AddRecords(records_, pool_.get());
+      (void)token_index_.RemoveRecords(records_, dead_ids, pool_.get());
+      for (const RecordPair& pair : token_index_.CurrentPairs()) {
+        candidate_prov_[pair] |= kBlockerTokenOverlap;
+      }
+    }
+  }
+
+  // Pair ids feed unchecked records_.at() lookups in every mutation, so
+  // they are range-validated like every other record reference. Tombstoned
+  // records retract every pair they touch, so a candidate, cached score or
+  // positive referencing one is corruption.
+  auto check_pair = [this, n](const RecordPair& pair) {
+    if (pair.a < 0 || pair.b < 0 || static_cast<size_t>(pair.a) >= n ||
+        static_cast<size_t>(pair.b) >= n) {
+      return Status::IOError("corrupted checkpoint: record pair out of range");
+    }
+    if (!alive_[static_cast<size_t>(pair.a)] ||
+        !alive_[static_cast<size_t>(pair.b)]) {
+      return Status::IOError(
+          "corrupted checkpoint: record pair references a tombstoned record");
+    }
+    return Status::OK();
+  };
+  for (const auto& [pair, score] : score_cache_) {
+    (void)score;
+    GRALMATCH_RETURN_NOT_OK(check_pair(pair));
+  }
+  for (const RecordPair& pair : positives_) {
+    GRALMATCH_RETURN_NOT_OK(check_pair(pair));
+  }
+
   // Every current candidate has a cached score and every positive pair is a
-  // current candidate — Ingest() dereferences both unconditionally, so a
-  // checkpoint violating either invariant must be rejected here, not crash
-  // there.
+  // current candidate — the mutation path dereferences both
+  // unconditionally, so a checkpoint violating either invariant must be
+  // rejected here, not crash there.
   const uint32_t known_bits =
-      (config.use_id_blocker ? kBlockerIdOverlap : 0u) |
-      (config.use_token_blocker ? kBlockerTokenOverlap : 0u);
-  for (const auto& [pair, prov] : pipeline->candidate_prov_) {
+      (config_.use_id_blocker ? kBlockerIdOverlap : 0u) |
+      (config_.use_token_blocker ? kBlockerTokenOverlap : 0u);
+  for (const auto& [pair, prov] : candidate_prov_) {
+    GRALMATCH_RETURN_NOT_OK(check_pair(pair));
     if (prov == 0 || (prov & ~known_bits) != 0) {
       return Status::IOError(
           "corrupted checkpoint: candidate provenance bits disagree with the "
           "configured blockers");
     }
-    if (!pipeline->score_cache_.count(pair)) {
+    if (!score_cache_.count(pair)) {
       return Status::IOError(
           "corrupted checkpoint: candidate pair without a cached score");
     }
   }
-  for (const RecordPair& pair : pipeline->positives_) {
-    if (!pipeline->candidate_prov_.count(pair)) {
+  for (const RecordPair& pair : positives_) {
+    if (!candidate_prov_.count(pair)) {
       return Status::IOError(
           "corrupted checkpoint: positive pair missing from the candidate "
           "set");
     }
   }
-  // The candidate set must be exactly what the restored blocking indexes
-  // currently produce, bit by bit: a future AddRecords retraction looks the
-  // pair up in candidate_prov_ unchecked, so an index/pipeline mismatch
-  // would dereference end().
-  auto check_index = [&pipeline](const std::vector<RecordPair>& index_pairs,
-                                 uint32_t bit) {
+  // The candidate set must be exactly what the blocking indexes currently
+  // produce, bit by bit: a future AddRecords retraction looks the pair up
+  // in candidate_prov_ unchecked, so an index/pipeline mismatch would
+  // dereference end(). A rebuild derived one from the other, so only
+  // loaded index state needs the check.
+  auto check_index = [this](const std::vector<RecordPair>& index_pairs,
+                            uint32_t bit) {
     size_t with_bit = 0;
-    for (const auto& [pair, prov] : pipeline->candidate_prov_) {
+    for (const auto& [pair, prov] : candidate_prov_) {
       (void)pair;
       if (prov & bit) ++with_bit;
     }
@@ -573,8 +617,8 @@ Result<std::unique_ptr<IncrementalPipeline>> IncrementalPipeline::Deserialize(
           "candidate provenance");
     }
     for (const RecordPair& pair : index_pairs) {
-      auto it = pipeline->candidate_prov_.find(pair);
-      if (it == pipeline->candidate_prov_.end() || (it->second & bit) == 0) {
+      auto it = candidate_prov_.find(pair);
+      if (it == candidate_prov_.end() || (it->second & bit) == 0) {
         return Status::IOError(
             "corrupted checkpoint: blocking index pair missing from the "
             "candidate set");
@@ -582,45 +626,36 @@ Result<std::unique_ptr<IncrementalPipeline>> IncrementalPipeline::Deserialize(
     }
     return Status::OK();
   };
-  if (config.use_id_blocker) {
+  if (!rebuild_blocking && config_.use_id_blocker) {
     GRALMATCH_RETURN_NOT_OK(
-        check_index(pipeline->id_index_.CurrentPairs(), kBlockerIdOverlap));
+        check_index(id_index_.CurrentPairs(), kBlockerIdOverlap));
   }
-  if (config.use_token_blocker) {
-    GRALMATCH_RETURN_NOT_OK(check_index(pipeline->token_index_.CurrentPairs(),
-                                        kBlockerTokenOverlap));
+  if (!rebuild_blocking && config_.use_token_blocker) {
+    GRALMATCH_RETURN_NOT_OK(
+        check_index(token_index_.CurrentPairs(), kBlockerTokenOverlap));
   }
-  // An empty fingerprint means no Ingest ever ran (Ingest sets it
+  // An empty fingerprint means no mutation ever ran (each one sets it
   // unconditionally), so every other piece of state must be empty too —
   // otherwise cached scores could never be invalidated by a fingerprint
   // change.
-  if (pipeline->fingerprint_.empty() &&
-      (n != 0 || !pipeline->candidate_prov_.empty() ||
-       !pipeline->score_cache_.empty() || !pipeline->positives_.empty())) {
+  if (fingerprint_.empty() &&
+      (n != 0 || !candidate_prov_.empty() || !score_cache_.empty() ||
+       !positives_.empty())) {
     return Status::IOError(
         "corrupted checkpoint: pre-ingest fingerprint with non-empty state");
   }
 
-  GRALMATCH_RETURN_NOT_OK(pipeline->store_.Load(
-      reader, n, [&pipeline](const RecordPair& pair) {
-        return pipeline->positives_.count(pair) > 0;
-      }));
   // A tombstoned record has lost every positive edge, so it must have left
   // its component (FillSnapshot relies on this to skip dead singletons).
   for (size_t r = 0; r < n; ++r) {
-    if (!pipeline->alive_[r] && pipeline->store_.comp_of_node()[r] >= 0) {
+    if (!alive_[r] && store_.comp_of_node()[r] >= 0) {
       return Status::IOError(
           "corrupted checkpoint: tombstoned record still inside a component");
     }
   }
-
-  GRALMATCH_RETURN_NOT_OK(reader->ReadU64(&u));
-  pipeline->total_matcher_calls_ = static_cast<size_t>(u);
-  GRALMATCH_RETURN_NOT_OK(reader->ReadU64(&u));
-  pipeline->total_cache_hits_ = static_cast<size_t>(u);
-  GRALMATCH_RETURN_NOT_OK(reader->ReadDouble(&pipeline->scoring_seconds_total_));
-  GRALMATCH_RETURN_NOT_OK(reader->ReadDouble(&pipeline->cleanup_seconds_total_));
-  return pipeline;
+  return store_.Validate([this](const RecordPair& pair) {
+    return positives_.count(pair) > 0;
+  });
 }
 
 }  // namespace gralmatch

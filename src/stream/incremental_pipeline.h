@@ -36,6 +36,10 @@
 /// ANY interleaved Ingest/Update/Remove schedule, Snapshot() equals a
 /// from-scratch run on the surviving records (modulo the monotone id
 /// compaction a fresh run would assign).
+///
+/// This is the only implementation of the mutation path: the sharded
+/// pipeline (shard/sharded_pipeline.h) owns one instance and adds record
+/// routing and a partitioned checkpoint layout on top of it.
 
 #include <cstddef>
 #include <memory>
@@ -213,6 +217,24 @@ class IncrementalPipeline {
       BinaryReader* reader, uint32_t version, size_t num_threads_override = 0);
 
  private:
+  /// The sharded pipeline's checkpoint loader reassembles this engine's
+  /// state from shard files and finishes through FinishRestore.
+  friend class ShardedPipeline;
+
+  /// The engine-side end of both checkpoint loaders. Expects records,
+  /// tombstones, fingerprint, score cache, positives, components and
+  /// counters in place. With `rebuild_blocking` the blocking indexes are
+  /// rebuilt from (records, tombstones) — their state is a pure function of
+  /// the two — and the candidate provenance is derived from them; otherwise
+  /// both must already be loaded. Then re-verifies every cross-field
+  /// invariant the mutation path dereferences unchecked: candidate,
+  /// cached and positive pairs in range and live, every candidate scored
+  /// with known provenance bits, every positive a candidate, candidates
+  /// equal to the indexes' pair sets bit by bit, empty state before the
+  /// first ingest, no tombstoned record inside a component, and every
+  /// component edge a positive pair. Any violation is a clean IOError.
+  Status FinishRestore(bool rebuild_blocking);
+
   /// The whole mutation path shared by Ingest (no removals), Remove (no
   /// adds) and Update (both, one pass); the public entry points wrap it
   /// with id validation and the poison fail-fast.

@@ -703,16 +703,40 @@ TEST_F(FinancialCrud, InvalidRemovalsAreCleanErrorsWithoutPoisoning) {
   ASSERT_TRUE(pipeline.status().ok());
   EXPECT_TRUE(pipeline.is_alive(4));
 
-  // The sharded pipeline enforces the identical contract.
+  // The sharded pipeline enforces the identical contract on the same
+  // inputs, and a rejected call routes nothing.
   ShardedPipelineConfig sharded_config;
   sharded_config.base = config;
   sharded_config.num_shards = 2;
   ShardedPipeline sharded(sharded_config);
   ASSERT_TRUE(sharded.Ingest(*records_, matcher).ok());
-  Result<IngestReport> sharded_bad = sharded.Remove({n}, matcher);
-  ASSERT_FALSE(sharded_bad.ok());
-  EXPECT_EQ(sharded_bad.status().code(), StatusCode::kInvalidArgument);
+  for (const std::vector<RecordId>& bad :
+       {std::vector<RecordId>{n}, std::vector<RecordId>{-1},
+        std::vector<RecordId>{0, 1, 0}}) {
+    Result<IngestReport> result = sharded.Remove(bad, matcher);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    ASSERT_TRUE(sharded.status().ok());
+  }
+  ASSERT_TRUE(sharded.Remove({2}, matcher).ok());
+  const PipelineResult sharded_before = sharded.Snapshot().ValueOrDie();
+  Result<IngestReport> sharded_twice = sharded.Remove({2}, matcher);
+  ASSERT_FALSE(sharded_twice.ok());
+  EXPECT_EQ(sharded_twice.status().code(), StatusCode::kInvalidArgument);
+  Result<IngestReport> sharded_mixed =
+      sharded.Update({ok_update, dead_update}, matcher);
+  ASSERT_FALSE(sharded_mixed.ok());
+  EXPECT_EQ(sharded_mixed.status().code(), StatusCode::kInvalidArgument);
   ASSERT_TRUE(sharded.status().ok());
+  EXPECT_FALSE(sharded.is_alive(-1));
+  EXPECT_FALSE(sharded.is_alive(n));
+  EXPECT_TRUE(sharded.is_alive(4));
+  EXPECT_EQ(sharded.ShardRecordCount(0) + sharded.ShardRecordCount(1),
+            sharded.records().size());
+  ExpectEquivalent(sharded.Snapshot().ValueOrDie(), sharded_before,
+                   "sharded after rejected calls");
+  ExpectEquivalent(sharded.Snapshot().ValueOrDie(),
+                   pipeline.Snapshot().ValueOrDie(), "sharded vs incremental");
 }
 
 TEST_F(FinancialCrud, CheckpointRoundTripCarriesTombstones) {

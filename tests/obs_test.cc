@@ -440,8 +440,9 @@ TEST(ObsInertnessTest, InstrumentedShardedRunIsBitwiseIdentical) {
       EXPECT_EQ(registry.GetCounter("pipeline_mutations_total")->Value(), 3u);
       EXPECT_GT(registry.GetHistogram("shard_route_seconds")->TotalCount(),
                 0u);
-      EXPECT_GT(registry.GetHistogram("shard_exchange_seconds")->TotalCount(),
-                0u);
+      EXPECT_GT(
+          registry.GetHistogram("pipeline_blocking_seconds")->TotalCount(),
+          0u);
       ExpectSameSnapshot(on.Snapshot().ValueOrDie(),
                          off.Snapshot().ValueOrDie());
 

@@ -390,6 +390,64 @@ TEST(CheckpointTest, EmptyPipelineRoundTrips) {
 }
 
 // ---------------------------------------------------------------------------
+// Images written by an earlier build (tests/data/checkpoints/README.md)
+// ---------------------------------------------------------------------------
+
+/// From-scratch reference on the surviving records, remapped back to the
+/// original ids (the compact -> original map is monotone, so every order
+/// the batch pipeline guarantees survives the remap).
+PipelineResult SurvivorReference(const IncrementalPipeline& pipeline,
+                                 const PairwiseMatcher& matcher) {
+  RecordTable survivors;
+  std::vector<NodeId> original;
+  for (size_t i = 0; i < pipeline.records().size(); ++i) {
+    if (!pipeline.alive()[i]) continue;
+    survivors.Add(pipeline.records().at(static_cast<RecordId>(i)));
+    original.push_back(static_cast<NodeId>(i));
+  }
+  PipelineResult ref = RunBatchReference(survivors, pipeline.config(), matcher);
+  for (RecordPair& pair : ref.predicted_pairs) {
+    pair.a = static_cast<RecordId>(original[static_cast<size_t>(pair.a)]);
+    pair.b = static_cast<RecordId>(original[static_cast<size_t>(pair.b)]);
+  }
+  for (auto* sets : {&ref.pre_cleanup_components, &ref.groups}) {
+    for (std::vector<NodeId>& nodes : *sets) {
+      for (NodeId& u : nodes) u = original[static_cast<size_t>(u)];
+    }
+  }
+  return ref;
+}
+
+/// Load a checked-in image, check it against the from-scratch reference on
+/// its survivors and the counters it was written with, and re-serialize it:
+/// the writer must reproduce the file byte for byte.
+void ExpectCheckedInImageLoads(const std::string& name, char version,
+                               size_t num_dead, size_t matcher_calls) {
+  auto image = ReadWholeFile(std::string(GRALMATCH_CHECKPOINT_FIXTURES) +
+                             "/" + name);
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+  EXPECT_EQ((*image)[8], version);
+  JaccardMatcher matcher;
+  auto loaded = ParseCheckpoint(*image, matcher);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const IncrementalPipeline& pipeline = **loaded;
+  EXPECT_EQ(pipeline.num_dead(), num_dead);
+  EXPECT_EQ(pipeline.total_matcher_calls(), matcher_calls);
+  EXPECT_EQ(pipeline.total_cache_hits(), 0u);
+  ExpectEquivalent(pipeline.Snapshot().ValueOrDie(),
+                   SurvivorReference(pipeline, matcher), name);
+  EXPECT_EQ(SerializeCheckpoint(pipeline).ValueOrDie(), *image) << name;
+}
+
+TEST(CheckpointTest, CheckedInVersionOneImageLoads) {
+  ExpectCheckedInImageLoads("ingest_v1.grlm", 1, 0, 94);
+}
+
+TEST(CheckpointTest, CheckedInVersionTwoImageLoads) {
+  ExpectCheckedInImageLoads("crud_v2.grlm", 2, 2, 95);
+}
+
+// ---------------------------------------------------------------------------
 // Corruption and version handling (every case must fail cleanly, not crash;
 // CI runs this suite under ASan+UBSan)
 // ---------------------------------------------------------------------------

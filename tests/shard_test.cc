@@ -845,6 +845,48 @@ TEST_F(ShardedCheckpointCorruptionTest, FutureManifestVersionFailsCleanly) {
 }
 
 // ---------------------------------------------------------------------------
+// A sharded image written by an earlier build
+// (tests/data/checkpoints/README.md)
+// ---------------------------------------------------------------------------
+
+TEST(ShardedCheckpointFixtureTest, CheckedInVersionTwoDirectoryLoads) {
+  // That writer split the counters by owner shard (48 + 47 matcher calls);
+  // today's writer keeps the total in shard 0. The loader sums the slots,
+  // so the old split must restore the same total.
+  JaccardMatcher matcher;
+  auto loaded = LoadShardedCheckpoint(
+      std::string(GRALMATCH_CHECKPOINT_FIXTURES) + "/sharded_v2", matcher);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const ShardedPipeline& sharded = **loaded;
+  EXPECT_EQ(sharded.num_shards(), 2u);
+  EXPECT_EQ(sharded.records().size(), 81u);
+  EXPECT_EQ(sharded.num_dead(), 2u);
+  EXPECT_EQ(sharded.ShardRecordCount(0) + sharded.ShardRecordCount(1), 81u);
+  EXPECT_EQ(sharded.total_matcher_calls(), 95u);
+  EXPECT_EQ(sharded.total_cache_hits(), 0u);
+
+  RecordTable survivors;
+  std::vector<NodeId> original;
+  for (size_t i = 0; i < sharded.records().size(); ++i) {
+    if (!sharded.is_alive(static_cast<RecordId>(i))) continue;
+    survivors.Add(sharded.records().at(static_cast<RecordId>(i)));
+    original.push_back(static_cast<NodeId>(i));
+  }
+  PipelineResult ref =
+      RunBatchReference(survivors, sharded.config().base, matcher);
+  for (RecordPair& pair : ref.predicted_pairs) {
+    pair.a = static_cast<RecordId>(original[static_cast<size_t>(pair.a)]);
+    pair.b = static_cast<RecordId>(original[static_cast<size_t>(pair.b)]);
+  }
+  for (auto* sets : {&ref.pre_cleanup_components, &ref.groups}) {
+    for (std::vector<NodeId>& nodes : *sets) {
+      for (NodeId& u : nodes) u = original[static_cast<size_t>(u)];
+    }
+  }
+  ExpectEquivalent(sharded.Snapshot().ValueOrDie(), ref, "sharded_v2");
+}
+
+// ---------------------------------------------------------------------------
 // Tombstone sections in sharded checkpoints (format v2): version stamping,
 // corruption inside the new section, and version-mix rejection. The
 // corruption tests repair every framing layer the loader checks first (the

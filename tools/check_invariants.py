@@ -106,8 +106,7 @@ MODULE_DEPS = {
     "core": ("blocking", "data", "exec", "graph", "matching", "obs"),
     "stream": ("blocking", "common", "core", "data", "exec", "graph",
                "matching", "obs"),
-    "shard": ("blocking", "common", "core", "data", "exec", "graph",
-              "matching", "obs", "stream"),
+    "shard": ("common", "data", "matching", "obs", "stream"),
     "serve": ("common", "core", "data", "matching", "obs", "shard", "stream"),
     "net": ("common", "exec", "obs", "serve"),
 }
