@@ -12,46 +12,6 @@ namespace gralmatch {
 
 namespace {
 
-/// Serialize a pair->refcount map in sorted pair order (deterministic bytes).
-void WriteRefcounts(
-    const std::unordered_map<RecordPair, uint32_t, RecordPairHash>& refcount,
-    BinaryWriter* writer) {
-  std::vector<std::pair<RecordPair, uint32_t>> entries(refcount.begin(),
-                                                       refcount.end());
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  writer->WriteU64(entries.size());
-  for (const auto& [pair, count] : entries) {
-    writer->WriteI32(pair.a);
-    writer->WriteI32(pair.b);
-    writer->WriteU32(count);
-  }
-}
-
-/// Read a pair->refcount map whose record ids must lie in [0, limit) and
-/// whose counts must be positive (zero entries are never stored).
-Status ReadRefcounts(
-    BinaryReader* reader, size_t limit,
-    std::unordered_map<RecordPair, uint32_t, RecordPairHash>* refcount) {
-  uint64_t count = 0;
-  GRALMATCH_RETURN_NOT_OK(reader->ReadCount(12, &count));
-  refcount->clear();
-  refcount->reserve(static_cast<size_t>(count));
-  for (uint64_t k = 0; k < count; ++k) {
-    RecordPair pair;
-    uint32_t refs = 0;
-    GRALMATCH_RETURN_NOT_OK(reader->ReadI32(&pair.a));
-    GRALMATCH_RETURN_NOT_OK(reader->ReadI32(&pair.b));
-    GRALMATCH_RETURN_NOT_OK(reader->ReadU32(&refs));
-    if (pair.a < 0 || pair.b < 0 || static_cast<size_t>(pair.a) >= limit ||
-        static_cast<size_t>(pair.b) >= limit || refs == 0) {
-      return Status::IOError("corrupted index state: bad refcount entry");
-    }
-    (*refcount)[pair] = refs;
-  }
-  return Status::OK();
-}
-
 void WriteRecordIds(const std::vector<RecordId>& ids, BinaryWriter* writer) {
   writer->WriteU64(ids.size());
   for (RecordId id : ids) writer->WriteI32(id);
@@ -466,7 +426,7 @@ void IncrementalTokenOverlapIndex::SaveState(BinaryWriter* writer) const {
   }
   writer->WriteU64(kept_.size());
   for (const auto& ids : kept_) WriteRecordIds(ids, writer);
-  WriteRefcounts(refcount_, writer);
+  WritePairValues(refcount_, writer);
 }
 
 Status IncrementalTokenOverlapIndex::LoadState(BinaryReader* reader) {
@@ -545,7 +505,7 @@ Status IncrementalTokenOverlapIndex::LoadState(BinaryReader* reader) {
   for (auto& ids : kept_) {
     GRALMATCH_RETURN_NOT_OK(ReadRecordIds(reader, num_records_, &ids));
   }
-  return ReadRefcounts(reader, num_records_, &refcount_);
+  return ReadPairValues(reader, num_records_, &refcount_);
 }
 
 // ---------------------------------------------------------------------------
@@ -726,7 +686,7 @@ void IncrementalIdOverlapIndex::SaveState(BinaryWriter* writer) const {
     writer->WriteString(*value);
     WriteRecordIds(index_.at(*value), writer);
   }
-  WriteRefcounts(refcount_, writer);
+  WritePairValues(refcount_, writer);
 }
 
 Status IncrementalIdOverlapIndex::LoadState(BinaryReader* reader) {
@@ -751,7 +711,7 @@ Status IncrementalIdOverlapIndex::LoadState(BinaryReader* reader) {
       return Status::IOError("corrupted id index: duplicate identifier value");
     }
   }
-  return ReadRefcounts(reader, num_records_, &refcount_);
+  return ReadPairValues(reader, num_records_, &refcount_);
 }
 
 }  // namespace gralmatch

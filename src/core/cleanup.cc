@@ -37,7 +37,7 @@ namespace {
 // centrality; the component may or may not split. Processing each
 // component independently is equivalent to the paper's global
 // argmax-by-size loop because components do not interact — the same fact
-// the parallel path exploits to fan components out across threads.
+// Run exploits to fan components out across threads.
 void RunPhases(const GraphCleanupConfig& config, Graph* graph,
                std::deque<std::vector<NodeId>> work,
                std::vector<std::vector<NodeId>>* done, CleanupStats* stats) {
@@ -108,7 +108,7 @@ void RunPhases(const GraphCleanupConfig& config, Graph* graph,
   }
 }
 
-/// Per-component result of the parallel path, merged back serially.
+/// Per-component result of one compact-copy cleanup, merged back serially.
 struct ComponentCleanup {
   std::vector<std::vector<NodeId>> groups;  // parent node ids
   std::vector<EdgeId> removed_edges;        // parent edge ids
@@ -120,15 +120,15 @@ struct ComponentCleanup {
 /// increasing parent-edge-id order with their original orientation, so every
 /// ordering the algorithms tie-break on — node comparisons, adjacency-list
 /// order, edge-id order, betweenness accumulation order — is preserved and
-/// the local decisions are bitwise-identical to an in-place serial run.
-/// Workers never mutate the shared graph; removals are applied at merge.
+/// the local decisions are independent of which worker runs them. Workers
+/// never mutate the shared graph; removals are applied at merge.
 ComponentCleanup CleanupComponentCopy(const GraphCleanupConfig& config,
                                       const Graph& graph,
                                       const std::vector<NodeId>& comp) {
   Graph local(comp.size());
   // Collect the component's alive edges by walking its own adjacency lists
   // (Graph::EdgesWithin would allocate an O(total-nodes) membership mask per
-  // component, turning the parallel path into O(components x graph size)).
+  // component, turning the cleanup into O(components x graph size)).
   // `comp` is a connected component, so both endpoints are inside it; each
   // alive edge is emitted once, from its smaller endpoint, then sorted into
   // the same increasing-edge-id order EdgesWithin produces.
@@ -188,35 +188,29 @@ std::vector<std::vector<NodeId>> GraLMatchCleanup::Run(Graph* graph,
   std::vector<std::vector<NodeId>> done;  // components at or below mu
   std::vector<std::vector<NodeId>> components = graph->ConnectedComponents();
 
-  if (pool == nullptr || pool->num_threads() <= 1) {
-    std::deque<std::vector<NodeId>> work;
-    for (auto& comp : components) work.push_back(std::move(comp));
-    RunPhases(config_, graph, std::move(work), &done, stats);
-  } else {
-    // Components that can still lose edges in either phase (kNoMinCut is
-    // SIZE_MAX, so min() keeps plain `mu` for the "-BC" variant).
-    const size_t untouched_max = std::min(config_.mu, config_.gamma);
-    std::vector<std::vector<NodeId>> oversized;
-    for (auto& comp : components) {
-      if (comp.size() <= untouched_max) {
-        done.push_back(std::move(comp));
-      } else {
-        oversized.push_back(std::move(comp));
-      }
+  // Components that can still lose edges in either phase (kNoMinCut is
+  // SIZE_MAX, so min() keeps plain `mu` for the "-BC" variant).
+  const size_t untouched_max = std::min(config_.mu, config_.gamma);
+  std::vector<std::vector<NodeId>> oversized;
+  for (auto& comp : components) {
+    if (comp.size() <= untouched_max) {
+      done.push_back(std::move(comp));
+    } else {
+      oversized.push_back(std::move(comp));
     }
-    std::vector<ComponentCleanup> results(oversized.size());
-    ParallelFor(pool, 0, oversized.size(), [&](size_t i) {
-      results[i] = CleanupComponentCopy(config_, *graph, oversized[i]);
-    });
-    for (ComponentCleanup& r : results) {
-      for (EdgeId e : r.removed_edges) graph->RemoveEdge(e);
-      for (auto& group : r.groups) done.push_back(std::move(group));
-      if (stats) {
-        stats->min_cut_calls += r.stats.min_cut_calls;
-        stats->min_cut_edges_removed += r.stats.min_cut_edges_removed;
-        stats->betweenness_calls += r.stats.betweenness_calls;
-        stats->betweenness_edges_removed += r.stats.betweenness_edges_removed;
-      }
+  }
+  std::vector<ComponentCleanup> results(oversized.size());
+  ParallelFor(pool, 0, oversized.size(), [&](size_t i) {
+    results[i] = CleanupComponentCopy(config_, *graph, oversized[i]);
+  });
+  for (ComponentCleanup& r : results) {
+    for (EdgeId e : r.removed_edges) graph->RemoveEdge(e);
+    for (auto& group : r.groups) done.push_back(std::move(group));
+    if (stats) {
+      stats->min_cut_calls += r.stats.min_cut_calls;
+      stats->min_cut_edges_removed += r.stats.min_cut_edges_removed;
+      stats->betweenness_calls += r.stats.betweenness_calls;
+      stats->betweenness_edges_removed += r.stats.betweenness_edges_removed;
     }
   }
 

@@ -61,10 +61,9 @@ class GraLMatchCleanup {
   /// connected components (entity groups) of the cleaned graph, singletons
   /// included.
   ///
-  /// With a `pool` of more than one worker, oversized components are cleaned
-  /// in parallel (they are edge-disjoint and independent); the result —
-  /// groups, removed edge set, and all CleanupStats counters except the
-  /// wall-clock `seconds` — is bitwise-identical to the serial run.
+  /// Each oversized component is cleaned on a compact copy, fanned out over
+  /// `pool` (serial when null); the result is independent of the thread
+  /// count, except for the wall-clock `seconds`.
   std::vector<std::vector<NodeId>> Run(Graph* graph,
                                        CleanupStats* stats = nullptr,
                                        ThreadPool* pool = nullptr) const;

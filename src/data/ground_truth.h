@@ -14,6 +14,9 @@
 
 namespace gralmatch {
 
+class BinaryReader;
+class BinaryWriter;
+
 /// \brief Unordered record pair, normalized so that a < b.
 struct RecordPair {
   RecordId a = kInvalidRecord;
@@ -28,6 +31,28 @@ struct RecordPair {
   }
 };
 
+/// Checkpoint encoding of one pair: i32 a, then i32 b. Every pair field of
+/// every checkpoint layout goes through this codec (docs/formats.md).
+void WriteRecordPair(const RecordPair& pair, BinaryWriter* writer);
+
+/// Decode one WriteRecordPair encoding. The pair must be canonical and in
+/// range, 0 <= a < b < num_records: a swapped or self pair is corruption
+/// (IOError), never normalized, because every pair-keyed map is keyed on
+/// the canonical form.
+Status ReadRecordPair(BinaryReader* reader, size_t num_records,
+                      RecordPair* pair);
+
+/// Decode a pair-keyed list written in ascending pair order: a u64 count,
+/// then per entry one pair (ReadRecordPair) followed by whatever
+/// `read_value` consumes — it may reject the value. Pairs must ascend
+/// strictly, so a duplicate entry is corruption too. `min_entry_size`
+/// bounds the count by the bytes left (BinaryReader::ReadCount); `reserve`
+/// receives the count before the first entry.
+Status ReadSortedPairList(
+    BinaryReader* reader, size_t num_records, size_t min_entry_size,
+    const std::function<void(size_t)>& reserve,
+    const std::function<Status(const RecordPair&)>& read_value);
+
 struct RecordPairHash {
   size_t operator()(const RecordPair& p) const {
     return std::hash<uint64_t>()(
@@ -35,6 +60,19 @@ struct RecordPairHash {
         static_cast<uint32_t>(p.b));
   }
 };
+
+/// Encode a pair -> nonzero u32 map (blocking refcounts, candidate
+/// provenance bits) in ascending pair order: u64 count, then each pair
+/// (WriteRecordPair) and its u32.
+void WritePairValues(
+    const std::unordered_map<RecordPair, uint32_t, RecordPairHash>& values,
+    BinaryWriter* writer);
+
+/// Read WritePairValues output (ReadSortedPairList rules). A zero value is
+/// corruption: no writer stores one.
+Status ReadPairValues(
+    BinaryReader* reader, size_t num_records,
+    std::unordered_map<RecordPair, uint32_t, RecordPairHash>* values);
 
 /// \brief Entity assignment: one EntityId per record.
 ///

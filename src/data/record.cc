@@ -1,8 +1,10 @@
 #include "data/record.h"
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
+#include "common/binary_io.h"
 #include "common/strings.h"
 
 namespace gralmatch {
@@ -60,6 +62,46 @@ std::string Record::AllText() const {
     out.append(v);
   }
   return out;
+}
+
+void WriteRecord(const Record& record, BinaryWriter* writer) {
+  writer->WriteI32(record.source());
+  writer->WriteU8(static_cast<uint8_t>(record.kind()));
+  writer->WriteU64(record.attributes().size());
+  for (const auto& [name, value] : record.attributes()) {
+    writer->WriteString(name);
+    writer->WriteString(value);
+  }
+}
+
+Status ReadRecord(BinaryReader* reader, Record* record) {
+  int32_t source = 0;
+  uint8_t kind = 0;
+  GRALMATCH_RETURN_NOT_OK(reader->ReadI32(&source));
+  GRALMATCH_RETURN_NOT_OK(reader->ReadU8(&kind));
+  if (source < std::numeric_limits<SourceId>::min() ||
+      source > std::numeric_limits<SourceId>::max()) {
+    return Status::IOError("corrupted checkpoint: record source " +
+                           std::to_string(source) + " out of range");
+  }
+  if (kind > static_cast<uint8_t>(RecordKind::kProduct)) {
+    return Status::IOError("corrupted checkpoint: unknown record kind " +
+                           std::to_string(kind));
+  }
+  *record = Record(static_cast<SourceId>(source), static_cast<RecordKind>(kind));
+  uint64_t num_attrs = 0;
+  GRALMATCH_RETURN_NOT_OK(reader->ReadCount(16, &num_attrs));
+  for (uint64_t a = 0; a < num_attrs; ++a) {
+    std::string name, value;
+    GRALMATCH_RETURN_NOT_OK(reader->ReadString(&name));
+    GRALMATCH_RETURN_NOT_OK(reader->ReadString(&value));
+    record->Set(name, value);
+    if (record->attributes().size() != a + 1) {
+      return Status::IOError("corrupted checkpoint: record attribute \"" +
+                             name + "\" repeated");
+    }
+  }
+  return Status::OK();
 }
 
 RecordId RecordTable::Add(Record record) {

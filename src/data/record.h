@@ -15,6 +15,9 @@
 
 namespace gralmatch {
 
+class BinaryReader;
+class BinaryWriter;
+
 /// Index of a record within its RecordTable.
 using RecordId = int32_t;
 /// Ground-truth entity identifier.
@@ -76,6 +79,16 @@ class Record {
   RecordKind kind_ = RecordKind::kCompany;
   std::vector<std::pair<std::string, std::string>> attrs_;
 };
+
+/// Checkpoint encoding of one record: i32 source, u8 kind, u64 attribute
+/// count, then each (name, value) as length-prefixed strings in order. Both
+/// checkpoint layouts store records through this codec (docs/formats.md).
+void WriteRecord(const Record& record, BinaryWriter* writer);
+
+/// Decode one WriteRecord encoding into `record`. An unknown kind, a
+/// source outside SourceId's range or a repeated attribute name is
+/// corruption (IOError): each would re-encode to different bytes.
+Status ReadRecord(BinaryReader* reader, Record* record);
 
 /// \brief A table of records from multiple sources.
 class RecordTable {

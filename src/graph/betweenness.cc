@@ -85,58 +85,4 @@ EdgeId MaxBetweennessEdge(const Graph& graph,
   return best;
 }
 
-std::vector<EdgeId> FindBridges(const Graph& graph,
-                                const std::vector<NodeId>& component) {
-  const size_t n = component.size();
-  std::unordered_map<NodeId, int> local;
-  for (size_t i = 0; i < n; ++i) local[component[i]] = static_cast<int>(i);
-  std::vector<std::vector<std::pair<int, EdgeId>>> adj(n);
-  for (EdgeId e : graph.EdgesWithin(component)) {
-    int u = local[graph.edge(e).u];
-    int v = local[graph.edge(e).v];
-    adj[static_cast<size_t>(u)].emplace_back(v, e);
-    adj[static_cast<size_t>(v)].emplace_back(u, e);
-  }
-
-  std::vector<int> disc(n, -1), low(n, 0);
-  std::vector<EdgeId> bridges;
-  int timer = 0;
-
-  // Iterative DFS; frame = (node, parent edge, next incidence index).
-  struct Frame {
-    int node;
-    EdgeId parent_edge;
-    size_t next = 0;
-  };
-  for (size_t root = 0; root < n; ++root) {
-    if (disc[root] >= 0) continue;
-    std::vector<Frame> stack;
-    stack.push_back({static_cast<int>(root), -1});
-    disc[root] = low[root] = timer++;
-    while (!stack.empty()) {
-      Frame& top = stack.back();
-      size_t u = static_cast<size_t>(top.node);
-      if (top.next < adj[u].size()) {
-        auto [v, e] = adj[u][top.next++];
-        if (e == top.parent_edge) continue;
-        if (disc[static_cast<size_t>(v)] >= 0) {
-          low[u] = std::min(low[u], disc[static_cast<size_t>(v)]);
-        } else {
-          disc[static_cast<size_t>(v)] = low[static_cast<size_t>(v)] = timer++;
-          stack.push_back({v, e});
-        }
-      } else {
-        stack.pop_back();
-        if (!stack.empty()) {
-          size_t p = static_cast<size_t>(stack.back().node);
-          low[p] = std::min(low[p], low[u]);
-          if (low[u] > disc[p]) bridges.push_back(top.parent_edge);
-        }
-      }
-    }
-  }
-  std::sort(bridges.begin(), bridges.end());
-  return bridges;
-}
-
 }  // namespace gralmatch

@@ -27,10 +27,6 @@ std::unordered_map<EdgeId, double> EdgeBetweenness(
 EdgeId MaxBetweennessEdge(const Graph& graph,
                           const std::vector<NodeId>& component);
 
-/// Bridges (cut edges) of the subgraph induced by `component`.
-std::vector<EdgeId> FindBridges(const Graph& graph,
-                                const std::vector<NodeId>& component);
-
 }  // namespace gralmatch
 
 #endif  // GRALMATCH_GRAPH_BETWEENNESS_H_

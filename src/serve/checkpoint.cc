@@ -55,30 +55,12 @@ Result<std::unique_ptr<IncrementalPipeline>> ParseCheckpoint(
 
   std::string fingerprint;
   GRALMATCH_RETURN_NOT_OK(reader.ReadString(&fingerprint));
-  // "" means the pipeline never ingested: its score cache is empty, so any
-  // matcher can take over. Otherwise the fingerprints must agree.
-  if (!fingerprint.empty() && fingerprint != matcher.Fingerprint()) {
-    return Status::InvalidArgument(
-        "matcher fingerprint mismatch: checkpoint was saved under \"" +
-        fingerprint + "\" but the serving matcher is \"" +
-        matcher.Fingerprint() +
-        "\"; the cached pair scores are only valid for the saved matcher");
-  }
-
-  std::string_view body;  // borrows from `image`, which outlives this call
-  GRALMATCH_RETURN_NOT_OK(reader.ReadStringView(&body));
-  uint64_t checksum = 0;
-  GRALMATCH_RETURN_NOT_OK(reader.ReadU64(&checksum));
-  if (checksum != stored_checksum) {
-    return Status::IOError(
-        "checkpoint corrupted: body length disagrees with the checksum "
-        "position");
-  }
-  if (!reader.AtEnd()) {
-    return Status::IOError("checkpoint corrupted: " +
-                           std::to_string(reader.remaining()) +
-                           " trailing bytes after the checksum");
-  }
+  GRALMATCH_RETURN_NOT_OK(
+      CheckMatcherFingerprint(fingerprint, matcher.Fingerprint()));
+  // The body borrows from `image`, which outlives this call.
+  GRALMATCH_ASSIGN_OR_RETURN(
+      const std::string_view body,
+      ReadFramedBody(&reader, stored_checksum, "checkpoint"));
 
   BinaryReader body_reader(body);
   auto result = IncrementalPipeline::Deserialize(&body_reader, version,

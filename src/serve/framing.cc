@@ -160,4 +160,32 @@ Result<uint64_t> CheckTrailingChecksum(const std::string& image,
   return stored;
 }
 
+Status CheckMatcherFingerprint(const std::string& saved,
+                               const std::string& serving) {
+  if (saved.empty() || saved == serving) return Status::OK();
+  return Status::InvalidArgument(
+      "matcher fingerprint mismatch: checkpoint was saved under \"" + saved +
+      "\" but the serving matcher is \"" + serving +
+      "\"; the cached pair scores are only valid for the saved matcher");
+}
+
+Result<std::string_view> ReadFramedBody(BinaryReader* reader,
+                                        uint64_t stored_checksum,
+                                        const std::string& what) {
+  std::string_view body;
+  GRALMATCH_RETURN_NOT_OK(reader->ReadStringView(&body));
+  uint64_t trailer = 0;
+  GRALMATCH_RETURN_NOT_OK(reader->ReadU64(&trailer));
+  if (trailer != stored_checksum) {
+    return Status::IOError(
+        what + " corrupted: body length disagrees with the checksum position");
+  }
+  if (!reader->AtEnd()) {
+    return Status::IOError(what + " corrupted: " +
+                           std::to_string(reader->remaining()) +
+                           " trailing bytes after the checksum");
+  }
+  return body;
+}
+
 }  // namespace gralmatch

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 
@@ -48,6 +49,21 @@ Status CheckFormatVersion(BinaryReader* reader, uint32_t current_version,
 /// FNV-1a 64 of everything before them), returning its value.
 Result<uint64_t> CheckTrailingChecksum(const std::string& image,
                                        const std::string& what);
+
+/// Refuse to restore cached scores under a different matcher: `saved` is
+/// the fingerprint a checkpoint stores, `serving` the loading matcher's.
+/// "" means the pipeline never mutated (its score cache is empty), so any
+/// matcher may take over. A mismatch is InvalidArgument.
+Status CheckMatcherFingerprint(const std::string& saved,
+                               const std::string& serving);
+
+/// Read the tail of a framed image: a length-prefixed body, then the
+/// trailing checksum, which must equal `stored_checksum` (the value
+/// CheckTrailingChecksum verified) and end the image. The returned body
+/// borrows from the reader's buffer.
+Result<std::string_view> ReadFramedBody(BinaryReader* reader,
+                                        uint64_t stored_checksum,
+                                        const std::string& what);
 
 }  // namespace gralmatch
 

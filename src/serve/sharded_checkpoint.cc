@@ -196,29 +196,11 @@ Result<std::unique_ptr<ShardedPipeline>> LoadShardedCheckpoint(
   BinaryReader manifest(manifest_image);
   GRALMATCH_ASSIGN_OR_RETURN(const ManifestHeader header,
                              ReadManifestHeader(&manifest, manifest_image));
-  if (!header.fingerprint.empty() &&
-      header.fingerprint != matcher.Fingerprint()) {
-    return Status::InvalidArgument(
-        "matcher fingerprint mismatch: checkpoint was saved under \"" +
-        header.fingerprint + "\" but the serving matcher is \"" +
-        matcher.Fingerprint() +
-        "\"; the cached pair scores are only valid for the saved matcher");
-  }
-
-  std::string_view manifest_body;
-  GRALMATCH_RETURN_NOT_OK(manifest.ReadStringView(&manifest_body));
-  uint64_t trailing = 0;
-  GRALMATCH_RETURN_NOT_OK(manifest.ReadU64(&trailing));
-  if (trailing != header.trailing_checksum) {
-    return Status::IOError(
-        "manifest corrupted: body length disagrees with the checksum "
-        "position");
-  }
-  if (!manifest.AtEnd()) {
-    return Status::IOError("manifest corrupted: " +
-                           std::to_string(manifest.remaining()) +
-                           " trailing bytes after the checksum");
-  }
+  GRALMATCH_RETURN_NOT_OK(
+      CheckMatcherFingerprint(header.fingerprint, matcher.Fingerprint()));
+  GRALMATCH_ASSIGN_OR_RETURN(
+      const std::string_view manifest_body,
+      ReadFramedBody(&manifest, header.trailing_checksum, "manifest"));
 
   // Shard files: each must exist under its content-addressed name and
   // hash to exactly what the manifest recorded — a partial save, a stale
@@ -262,20 +244,14 @@ Result<std::unique_ptr<ShardedPipeline>> LoadShardedCheckpoint(
     GRALMATCH_ASSIGN_OR_RETURN(
         const uint64_t checksum,
         CheckTrailingChecksum(shard_images[s], "shard file"));
-    (void)checksum;
     uint32_t index = 0;
     GRALMATCH_RETURN_NOT_OK(reader.ReadU32(&index));
     if (index != s) {
       return Status::IOError("shard file for shard " + std::to_string(s) +
                              " carries shard index " + std::to_string(index));
     }
-    std::string_view body;
-    GRALMATCH_RETURN_NOT_OK(reader.ReadStringView(&body));
-    uint64_t shard_trailing = 0;
-    GRALMATCH_RETURN_NOT_OK(reader.ReadU64(&shard_trailing));
-    if (!reader.AtEnd()) {
-      return Status::IOError("shard file corrupted: trailing bytes");
-    }
+    GRALMATCH_ASSIGN_OR_RETURN(const std::string_view body,
+                               ReadFramedBody(&reader, checksum, "shard file"));
     shard_bodies.emplace_back(body);
   }
 

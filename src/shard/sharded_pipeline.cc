@@ -17,7 +17,7 @@ struct ShardPart {
   std::vector<std::pair<RecordId, Record>> records;
   /// Dead ids this shard stores, ascending (format v2+; empty before).
   std::vector<RecordId> tombstones;
-  std::vector<std::pair<RecordPair, double>> scores;
+  ScoreList scores;
   std::vector<RecordPair> positives;
   size_t matcher_calls = 0;
   size_t cache_hits = 0;
@@ -39,11 +39,7 @@ Result<ShardPart> ParseShardBody(BinaryReader* reader, size_t num_records,
   RecordId prev_id = -1;
   for (uint64_t k = 0; k < count; ++k) {
     RecordId id = -1;
-    int32_t source = 0;
-    uint8_t kind = 0;
     GRALMATCH_RETURN_NOT_OK(reader->ReadI32(&id));
-    GRALMATCH_RETURN_NOT_OK(reader->ReadI32(&source));
-    GRALMATCH_RETURN_NOT_OK(reader->ReadU8(&kind));
     if (id < 0 || static_cast<size_t>(id) >= num_records) {
       return Status::IOError(
           "corrupted shard checkpoint: record id out of range");
@@ -53,20 +49,8 @@ Result<ShardPart> ParseShardBody(BinaryReader* reader, size_t num_records,
           "corrupted shard checkpoint: record ids not strictly ascending");
     }
     prev_id = id;
-    if (kind > static_cast<uint8_t>(RecordKind::kProduct)) {
-      return Status::IOError(
-          "corrupted shard checkpoint: unknown record kind " +
-          std::to_string(kind));
-    }
-    Record rec(static_cast<SourceId>(source), static_cast<RecordKind>(kind));
-    uint64_t num_attrs = 0;
-    GRALMATCH_RETURN_NOT_OK(reader->ReadCount(16, &num_attrs));
-    for (uint64_t a = 0; a < num_attrs; ++a) {
-      std::string name, value;
-      GRALMATCH_RETURN_NOT_OK(reader->ReadString(&name));
-      GRALMATCH_RETURN_NOT_OK(reader->ReadString(&value));
-      rec.Set(name, value);
-    }
+    Record rec;
+    GRALMATCH_RETURN_NOT_OK(ReadRecord(reader, &rec));
     part.records.emplace_back(id, std::move(rec));
   }
 
@@ -100,30 +84,10 @@ Result<ShardPart> ParseShardBody(BinaryReader* reader, size_t num_records,
     }
   }
 
-  GRALMATCH_RETURN_NOT_OK(reader->ReadCount(16, &count));
-  part.scores.reserve(static_cast<size_t>(count));
-  for (uint64_t k = 0; k < count; ++k) {
-    RecordPair pair;
-    double score = 0.0;
-    GRALMATCH_RETURN_NOT_OK(reader->ReadI32(&pair.a));
-    GRALMATCH_RETURN_NOT_OK(reader->ReadI32(&pair.b));
-    GRALMATCH_RETURN_NOT_OK(reader->ReadDouble(&score));
-    if (pair.a < 0 || pair.b < 0 ||
-        static_cast<size_t>(pair.a) >= num_records ||
-        static_cast<size_t>(pair.b) >= num_records) {
-      return Status::IOError(
-          "corrupted shard checkpoint: record pair out of range");
-    }
-    part.scores.emplace_back(pair, score);
-  }
-
+  GRALMATCH_RETURN_NOT_OK(ReadScoreList(reader, num_records, &part.scores));
   GRALMATCH_RETURN_NOT_OK(ReadRecordPairs(reader, num_records, &part.positives));
-
-  uint64_t u = 0;
-  GRALMATCH_RETURN_NOT_OK(reader->ReadU64(&u));
-  part.matcher_calls = static_cast<size_t>(u);
-  GRALMATCH_RETURN_NOT_OK(reader->ReadU64(&u));
-  part.cache_hits = static_cast<size_t>(u);
+  GRALMATCH_RETURN_NOT_OK(
+      ReadMatcherCounters(reader, &part.matcher_calls, &part.cache_hits));
 
   uint64_t num_comps = 0;
   GRALMATCH_RETURN_NOT_OK(reader->ReadCount(4, &num_comps));
@@ -190,16 +154,7 @@ Result<IngestReport> ShardedPipeline::Routed(Result<IngestReport> result) {
 
 Status ShardedPipeline::SerializeManifestBody(BinaryWriter* writer) const {
   GRALMATCH_RETURN_NOT_OK(engine_.status());
-  writer->WriteU64(config_.base.pipeline.cleanup.gamma);
-  writer->WriteU64(config_.base.pipeline.cleanup.mu);
-  writer->WriteDouble(config_.base.pipeline.match_threshold);
-  writer->WriteU64(config_.base.pipeline.pre_cleanup_threshold);
-  writer->WriteU64(config_.base.pipeline.num_threads);
-  writer->WriteU64(config_.base.token.top_n);
-  writer->WriteU64(config_.base.token.min_overlap);
-  writer->WriteDouble(config_.base.token.max_token_df);
-  writer->WriteU8(config_.base.use_token_blocker ? 1 : 0);
-  writer->WriteU8(config_.base.use_id_blocker ? 1 : 0);
+  WritePipelineConfig(config_.base, writer);
   writer->WriteU64(config_.num_shards);
   writer->WriteU64(config_.router_seed);
   writer->WriteString(engine_.fingerprint_);
@@ -218,7 +173,7 @@ Status ShardedPipeline::SerializeShardBodies(
   for (size_t id = 0; id < shard_of_record_.size(); ++id) {
     owned[shard_of_record_[id]].push_back(static_cast<RecordId>(id));
   }
-  std::vector<std::vector<std::pair<RecordPair, double>>> scores(num_shards);
+  std::vector<ScoreList> scores(num_shards);
   for (const auto& entry : engine_.score_cache_) {
     scores[OwnerOf(entry.first)].push_back(entry);
   }
@@ -247,15 +202,8 @@ Status ShardedPipeline::SerializeShardBodies(
     // payloads rebuild the blocking indexes on load.
     writer->WriteU64(owned[s].size());
     for (const RecordId id : owned[s]) {
-      const Record& rec = engine_.records_.at(id);
       writer->WriteI32(id);
-      writer->WriteI32(rec.source());
-      writer->WriteU8(static_cast<uint8_t>(rec.kind()));
-      writer->WriteU64(rec.attributes().size());
-      for (const auto& [name, value] : rec.attributes()) {
-        writer->WriteString(name);
-        writer->WriteString(value);
-      }
+      WriteRecord(engine_.records_.at(id), writer);
     }
     if (with_tombstones) {
       std::vector<RecordId> dead;
@@ -266,22 +214,15 @@ Status ShardedPipeline::SerializeShardBodies(
       for (const RecordId id : dead) writer->WriteI32(id);
     }
 
-    std::sort(scores[s].begin(), scores[s].end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    writer->WriteU64(scores[s].size());
-    for (const auto& [pair, score] : scores[s]) {
-      writer->WriteI32(pair.a);
-      writer->WriteI32(pair.b);
-      writer->WriteDouble(score);
-    }
+    WriteScoreList(std::move(scores[s]), writer);
     std::sort(positives[s].begin(), positives[s].end());
     WriteRecordPairs(positives[s], writer);
 
     // The counters are pipeline totals: shard 0 carries them and every
     // other shard writes 0. Loaders sum the slots, so images that split
     // the counters per shard load to the same totals.
-    writer->WriteU64(s == 0 ? engine_.total_matcher_calls() : 0);
-    writer->WriteU64(s == 0 ? engine_.total_cache_hits() : 0);
+    WriteMatcherCounters(s == 0 ? engine_.total_matcher_calls() : 0,
+                         s == 0 ? engine_.total_cache_hits() : 0, writer);
 
     std::sort(components[s].begin(), components[s].end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -298,38 +239,16 @@ Result<std::unique_ptr<ShardedPipeline>> ShardedPipeline::DeserializeFromParts(
     BinaryReader* manifest_body, std::vector<BinaryReader>* shard_bodies,
     uint32_t version, size_t num_threads_override) {
   ShardedPipelineConfig config;
-  uint64_t u = 0;
-  GRALMATCH_RETURN_NOT_OK(manifest_body->ReadU64(&u));
-  config.base.pipeline.cleanup.gamma = static_cast<size_t>(u);
-  GRALMATCH_RETURN_NOT_OK(manifest_body->ReadU64(&u));
-  config.base.pipeline.cleanup.mu = static_cast<size_t>(u);
   GRALMATCH_RETURN_NOT_OK(
-      manifest_body->ReadDouble(&config.base.pipeline.match_threshold));
-  GRALMATCH_RETURN_NOT_OK(manifest_body->ReadU64(&u));
-  config.base.pipeline.pre_cleanup_threshold = static_cast<size_t>(u);
-  GRALMATCH_RETURN_NOT_OK(manifest_body->ReadU64(&u));
-  config.base.pipeline.num_threads = static_cast<size_t>(u);
-  GRALMATCH_RETURN_NOT_OK(manifest_body->ReadU64(&u));
-  config.base.token.top_n = static_cast<size_t>(u);
-  GRALMATCH_RETURN_NOT_OK(manifest_body->ReadU64(&u));
-  config.base.token.min_overlap = static_cast<size_t>(u);
-  GRALMATCH_RETURN_NOT_OK(
-      manifest_body->ReadDouble(&config.base.token.max_token_df));
-  uint8_t flag = 0;
-  GRALMATCH_RETURN_NOT_OK(manifest_body->ReadU8(&flag));
-  config.base.use_token_blocker = flag != 0;
-  GRALMATCH_RETURN_NOT_OK(manifest_body->ReadU8(&flag));
-  config.base.use_id_blocker = flag != 0;
-  GRALMATCH_RETURN_NOT_OK(manifest_body->ReadU64(&u));
-  config.num_shards = static_cast<size_t>(u);
+      ReadPipelineConfig(manifest_body, num_threads_override, &config.base));
+  uint64_t num_shards = 0;
+  GRALMATCH_RETURN_NOT_OK(manifest_body->ReadU64(&num_shards));
+  config.num_shards = static_cast<size_t>(num_shards);
   GRALMATCH_RETURN_NOT_OK(manifest_body->ReadU64(&config.router_seed));
   if (config.num_shards == 0 ||
       config.num_shards != shard_bodies->size()) {
     return Status::IOError(
         "corrupted manifest: shard count disagrees with the shard files");
-  }
-  if (num_threads_override > 0) {
-    config.base.pipeline.num_threads = num_threads_override;
   }
 
   auto pipeline = std::make_unique<ShardedPipeline>(config);
@@ -397,7 +316,8 @@ Result<std::unique_ptr<ShardedPipeline>> ShardedPipeline::DeserializeFromParts(
   }
 
   // Scores, positives and components back into the one engine, each
-  // checked against its owner shard.
+  // checked against its owner shard. The pair codec rejected duplicates
+  // within a shard and ownership rules them out across shards.
   engine.store_.EnsureNumRecords(n);
   for (size_t s = 0; s < parts.size(); ++s) {
     for (const auto& [pair, score] : parts[s].scores) {
@@ -413,10 +333,7 @@ Result<std::unique_ptr<ShardedPipeline>> ShardedPipeline::DeserializeFromParts(
         return Status::IOError(
             "corrupted shard checkpoint: positive pair another shard owns");
       }
-      if (!engine.positives_.insert(pair).second) {
-        return Status::IOError(
-            "corrupted shard checkpoint: duplicate positive pair");
-      }
+      engine.positives_.insert(pair);
     }
     engine.total_matcher_calls_ += parts[s].matcher_calls;
     engine.total_cache_hits_ += parts[s].cache_hits;

@@ -14,30 +14,18 @@ namespace gralmatch {
 void WriteRecordPairs(const std::vector<RecordPair>& pairs,
                       BinaryWriter* writer) {
   writer->WriteU64(pairs.size());
-  for (const RecordPair& pair : pairs) {
-    writer->WriteI32(pair.a);
-    writer->WriteI32(pair.b);
-  }
+  for (const RecordPair& pair : pairs) WriteRecordPair(pair, writer);
 }
 
 Status ReadRecordPairs(BinaryReader* reader, size_t num_records,
                        std::vector<RecordPair>* pairs) {
-  uint64_t count = 0;
-  GRALMATCH_RETURN_NOT_OK(reader->ReadCount(8, &count));
   pairs->clear();
-  pairs->reserve(static_cast<size_t>(count));
-  for (uint64_t k = 0; k < count; ++k) {
-    RecordPair pair;
-    GRALMATCH_RETURN_NOT_OK(reader->ReadI32(&pair.a));
-    GRALMATCH_RETURN_NOT_OK(reader->ReadI32(&pair.b));
-    if (pair.a < 0 || pair.b < 0 ||
-        static_cast<size_t>(pair.a) >= num_records ||
-        static_cast<size_t>(pair.b) >= num_records) {
-      return Status::IOError("corrupted checkpoint: record pair out of range");
-    }
-    pairs->push_back(pair);
-  }
-  return Status::OK();
+  return ReadSortedPairList(
+      reader, num_records, 8, [pairs](size_t count) { pairs->reserve(count); },
+      [pairs](const RecordPair& pair) {
+        pairs->push_back(pair);
+        return Status::OK();
+      });
 }
 
 Status ReadNodeIdVector(BinaryReader* reader, size_t num_records,
@@ -309,11 +297,12 @@ Status GroupStore::Load(BinaryReader* reader, size_t num_records) {
         "corrupted checkpoint: component map size disagrees with the record "
         "table");
   }
-  comp_of_node_.resize(static_cast<size_t>(count));
-  for (auto& cid : comp_of_node_) {
+  std::vector<int32_t> stored_comp_of_node(static_cast<size_t>(count));
+  for (auto& cid : stored_comp_of_node) {
     GRALMATCH_RETURN_NOT_OK(reader->ReadI32(&cid));
   }
 
+  EnsureNumRecords(num_records);
   uint64_t num_comps = 0;
   GRALMATCH_RETURN_NOT_OK(reader->ReadCount(4, &num_comps));
   for (uint64_t k = 0; k < num_comps; ++k) {
@@ -321,37 +310,14 @@ Status GroupStore::Load(BinaryReader* reader, size_t num_records) {
     GRALMATCH_RETURN_NOT_OK(reader->ReadI32(&cid));
     ComponentState comp;
     GRALMATCH_RETURN_NOT_OK(ReadComponentState(reader, num_records, &comp));
-    if (comp.nodes.empty()) {
-      return Status::IOError("corrupted checkpoint: empty component");
-    }
-    if (!comps_.emplace(cid, std::move(comp)).second) {
-      return Status::IOError("corrupted checkpoint: duplicate component id");
-    }
+    GRALMATCH_RETURN_NOT_OK(InsertComponent(cid, std::move(comp), num_records));
   }
-  for (size_t r = 0; r < comp_of_node_.size(); ++r) {
-    const int32_t cid = comp_of_node_[r];
-    if (cid >= 0 && !comps_.count(cid)) {
-      return Status::IOError(
-          "corrupted checkpoint: record mapped to a missing component");
-    }
-  }
-  // FillSnapshot keys each component's emission off its smallest node and
-  // RebuildComponent binary-searches the node list, so the list must be
-  // sorted and unique and agree with the membership map.
-  for (const auto& [cid, comp] : comps_) {
-    if (!std::is_sorted(comp.nodes.begin(), comp.nodes.end()) ||
-        std::adjacent_find(comp.nodes.begin(), comp.nodes.end()) !=
-            comp.nodes.end()) {
-      return Status::IOError(
-          "corrupted checkpoint: component node list is not sorted unique");
-    }
-    for (const NodeId node : comp.nodes) {
-      if (comp_of_node_[static_cast<size_t>(node)] != cid) {
-        return Status::IOError(
-            "corrupted checkpoint: component node list disagrees with the "
-            "membership map");
-      }
-    }
+  // The stored membership map is redundant with the node lists: it must be
+  // exactly the map InsertComponent derived from them.
+  if (stored_comp_of_node != comp_of_node_) {
+    return Status::IOError(
+        "corrupted checkpoint: component node lists disagree with the "
+        "membership map");
   }
   return reader->ReadI32(&next_comp_id_);
 }

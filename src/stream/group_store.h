@@ -37,11 +37,12 @@ class BinaryReader;
 class BinaryWriter;
 class ThreadPool;
 
-/// Serialize a sorted pair vector (u64 count + i32 pairs).
+/// Serialize a sorted pair vector (u64 count + WriteRecordPair each).
 void WriteRecordPairs(const std::vector<RecordPair>& pairs,
                       BinaryWriter* writer);
 
-/// Read a pair vector whose record ids must lie in [0, num_records).
+/// Read a WriteRecordPairs vector: canonical pairs in [0, num_records),
+/// strictly ascending (ReadSortedPairList).
 Status ReadRecordPairs(BinaryReader* reader, size_t num_records,
                        std::vector<RecordPair>* pairs);
 
@@ -104,16 +105,18 @@ class GroupStore {
   /// the PR-4 checkpoint body layout.
   void Save(BinaryWriter* writer) const;
 
-  /// Restore Save() output, checking the store's own invariants
-  /// (membership agreement, sorted-unique node lists). Replaces the current
-  /// contents. Finish with Validate once the positive set is known.
+  /// Restore Save() output. Each component goes through InsertComponent,
+  /// and the stored membership map must equal the one those insertions
+  /// derive. Replaces the current contents. Finish with Validate once the
+  /// positive set is known.
   Status Load(BinaryReader* reader, size_t num_records);
 
-  // -- Piecewise reconstruction (sharded manifest checkpoints) --------------
+  // -- Piecewise reconstruction (both checkpoint loaders) -------------------
 
   /// Insert one component under an explicit id, growing the membership map.
   /// Rejects duplicate ids, empty/unsorted node lists and nodes already
-  /// owned by another component. Finish with SetNextComponentId + Validate.
+  /// owned by another component. The sharded loader finishes with
+  /// SetNextComponentId + Validate.
   Status InsertComponent(int32_t cid, ComponentState comp, size_t num_records);
 
   void SetNextComponentId(int32_t next) { next_comp_id_ = next; }

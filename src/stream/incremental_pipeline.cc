@@ -312,48 +312,108 @@ Result<PipelineResult> IncrementalPipeline::Snapshot() const {
 }
 
 // ---------------------------------------------------------------------------
+// Checkpoint section codecs
+// ---------------------------------------------------------------------------
+
+void WritePipelineConfig(const IncrementalPipelineConfig& config,
+                         BinaryWriter* writer) {
+  writer->WriteU64(config.pipeline.cleanup.gamma);
+  writer->WriteU64(config.pipeline.cleanup.mu);
+  writer->WriteDouble(config.pipeline.match_threshold);
+  writer->WriteU64(config.pipeline.pre_cleanup_threshold);
+  writer->WriteU64(config.pipeline.num_threads);
+  writer->WriteU64(config.token.top_n);
+  writer->WriteU64(config.token.min_overlap);
+  writer->WriteDouble(config.token.max_token_df);
+  writer->WriteU8(config.use_token_blocker ? 1 : 0);
+  writer->WriteU8(config.use_id_blocker ? 1 : 0);
+}
+
+Status ReadPipelineConfig(BinaryReader* reader, size_t num_threads_override,
+                          IncrementalPipelineConfig* config) {
+  auto read_size = [reader](size_t* out) {
+    uint64_t u = 0;
+    GRALMATCH_RETURN_NOT_OK(reader->ReadU64(&u));
+    *out = static_cast<size_t>(u);
+    return Status::OK();
+  };
+  auto read_flag = [reader](bool* out) {
+    uint8_t flag = 0;
+    GRALMATCH_RETURN_NOT_OK(reader->ReadU8(&flag));
+    if (flag > 1) {
+      return Status::IOError("corrupted checkpoint: blocker flag " +
+                             std::to_string(flag) + " is not 0 or 1");
+    }
+    *out = flag != 0;
+    return Status::OK();
+  };
+  GRALMATCH_RETURN_NOT_OK(read_size(&config->pipeline.cleanup.gamma));
+  GRALMATCH_RETURN_NOT_OK(read_size(&config->pipeline.cleanup.mu));
+  GRALMATCH_RETURN_NOT_OK(reader->ReadDouble(&config->pipeline.match_threshold));
+  GRALMATCH_RETURN_NOT_OK(read_size(&config->pipeline.pre_cleanup_threshold));
+  GRALMATCH_RETURN_NOT_OK(read_size(&config->pipeline.num_threads));
+  GRALMATCH_RETURN_NOT_OK(read_size(&config->token.top_n));
+  GRALMATCH_RETURN_NOT_OK(read_size(&config->token.min_overlap));
+  GRALMATCH_RETURN_NOT_OK(reader->ReadDouble(&config->token.max_token_df));
+  GRALMATCH_RETURN_NOT_OK(read_flag(&config->use_token_blocker));
+  GRALMATCH_RETURN_NOT_OK(read_flag(&config->use_id_blocker));
+  if (num_threads_override > 0) {
+    config->pipeline.num_threads = num_threads_override;
+  }
+  return Status::OK();
+}
+
+void WriteScoreList(ScoreList scores, BinaryWriter* writer) {
+  std::sort(scores.begin(), scores.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  writer->WriteU64(scores.size());
+  for (const auto& [pair, score] : scores) {
+    WriteRecordPair(pair, writer);
+    writer->WriteDouble(score);
+  }
+}
+
+Status ReadScoreList(BinaryReader* reader, size_t num_records,
+                     ScoreList* scores) {
+  scores->clear();
+  return ReadSortedPairList(
+      reader, num_records, 16,
+      [scores](size_t count) { scores->reserve(count); },
+      [reader, scores](const RecordPair& pair) {
+        double score = 0.0;
+        GRALMATCH_RETURN_NOT_OK(reader->ReadDouble(&score));
+        scores->emplace_back(pair, score);
+        return Status::OK();
+      });
+}
+
+void WriteMatcherCounters(size_t matcher_calls, size_t cache_hits,
+                          BinaryWriter* writer) {
+  writer->WriteU64(matcher_calls);
+  writer->WriteU64(cache_hits);
+}
+
+Status ReadMatcherCounters(BinaryReader* reader, size_t* matcher_calls,
+                           size_t* cache_hits) {
+  uint64_t u = 0;
+  GRALMATCH_RETURN_NOT_OK(reader->ReadU64(&u));
+  *matcher_calls = static_cast<size_t>(u);
+  GRALMATCH_RETURN_NOT_OK(reader->ReadU64(&u));
+  *cache_hits = static_cast<size_t>(u);
+  return Status::OK();
+}
+
+// ---------------------------------------------------------------------------
 // Checkpoint serialization
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Sorted snapshot of an unordered pair-keyed map (deterministic bytes).
-template <typename V>
-std::vector<std::pair<RecordPair, V>> SortedEntries(
-    const std::unordered_map<RecordPair, V, RecordPairHash>& map) {
-  std::vector<std::pair<RecordPair, V>> entries(map.begin(), map.end());
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return entries;
-}
-
-}  // namespace
-
 Status IncrementalPipeline::Serialize(BinaryWriter* writer) const {
   if (poisoned_) return PoisonError();
-  // Configuration.
-  writer->WriteU64(config_.pipeline.cleanup.gamma);
-  writer->WriteU64(config_.pipeline.cleanup.mu);
-  writer->WriteDouble(config_.pipeline.match_threshold);
-  writer->WriteU64(config_.pipeline.pre_cleanup_threshold);
-  writer->WriteU64(config_.pipeline.num_threads);
-  writer->WriteU64(config_.token.top_n);
-  writer->WriteU64(config_.token.min_overlap);
-  writer->WriteDouble(config_.token.max_token_df);
-  writer->WriteU8(config_.use_token_blocker ? 1 : 0);
-  writer->WriteU8(config_.use_id_blocker ? 1 : 0);
+  WritePipelineConfig(config_, writer);
 
   // Records, in ingest order.
   writer->WriteU64(records_.size());
-  for (const Record& rec : records_.records()) {
-    writer->WriteI32(rec.source());
-    writer->WriteU8(static_cast<uint8_t>(rec.kind()));
-    writer->WriteU64(rec.attributes().size());
-    for (const auto& [name, value] : rec.attributes()) {
-      writer->WriteString(name);
-      writer->WriteString(value);
-    }
-  }
+  for (const Record& rec : records_.records()) WriteRecord(rec, writer);
 
   // Tombstones: sorted dead record ids. Written only when some record is
   // dead — a tombstone-free pipeline keeps emitting the pre-tombstone
@@ -372,20 +432,8 @@ Status IncrementalPipeline::Serialize(BinaryWriter* writer) const {
 
   // Scores and candidate state.
   writer->WriteString(fingerprint_);
-  auto prov_entries = SortedEntries(candidate_prov_);
-  writer->WriteU64(prov_entries.size());
-  for (const auto& [pair, prov] : prov_entries) {
-    writer->WriteI32(pair.a);
-    writer->WriteI32(pair.b);
-    writer->WriteU32(prov);
-  }
-  auto score_entries = SortedEntries(score_cache_);
-  writer->WriteU64(score_entries.size());
-  for (const auto& [pair, score] : score_entries) {
-    writer->WriteI32(pair.a);
-    writer->WriteI32(pair.b);
-    writer->WriteDouble(score);
-  }
+  WritePairValues(candidate_prov_, writer);
+  WriteScoreList(ScoreList(score_cache_.begin(), score_cache_.end()), writer);
   std::vector<RecordPair> positives(positives_.begin(), positives_.end());
   std::sort(positives.begin(), positives.end());
   WriteRecordPairs(positives, writer);
@@ -394,8 +442,7 @@ Status IncrementalPipeline::Serialize(BinaryWriter* writer) const {
   store_.Save(writer);
 
   // Cumulative counters.
-  writer->WriteU64(total_matcher_calls_);
-  writer->WriteU64(total_cache_hits_);
+  WriteMatcherCounters(total_matcher_calls_, total_cache_hits_, writer);
   writer->WriteDouble(scoring_seconds_total_);
   writer->WriteDouble(cleanup_seconds_total_);
   return Status::OK();
@@ -404,52 +451,15 @@ Status IncrementalPipeline::Serialize(BinaryWriter* writer) const {
 Result<std::unique_ptr<IncrementalPipeline>> IncrementalPipeline::Deserialize(
     BinaryReader* reader, uint32_t version, size_t num_threads_override) {
   IncrementalPipelineConfig config;
-  uint64_t u = 0;
-  GRALMATCH_RETURN_NOT_OK(reader->ReadU64(&u));
-  config.pipeline.cleanup.gamma = static_cast<size_t>(u);
-  GRALMATCH_RETURN_NOT_OK(reader->ReadU64(&u));
-  config.pipeline.cleanup.mu = static_cast<size_t>(u);
-  GRALMATCH_RETURN_NOT_OK(reader->ReadDouble(&config.pipeline.match_threshold));
-  GRALMATCH_RETURN_NOT_OK(reader->ReadU64(&u));
-  config.pipeline.pre_cleanup_threshold = static_cast<size_t>(u);
-  GRALMATCH_RETURN_NOT_OK(reader->ReadU64(&u));
-  config.pipeline.num_threads = static_cast<size_t>(u);
-  GRALMATCH_RETURN_NOT_OK(reader->ReadU64(&u));
-  config.token.top_n = static_cast<size_t>(u);
-  GRALMATCH_RETURN_NOT_OK(reader->ReadU64(&u));
-  config.token.min_overlap = static_cast<size_t>(u);
-  GRALMATCH_RETURN_NOT_OK(reader->ReadDouble(&config.token.max_token_df));
-  uint8_t flag = 0;
-  GRALMATCH_RETURN_NOT_OK(reader->ReadU8(&flag));
-  config.use_token_blocker = flag != 0;
-  GRALMATCH_RETURN_NOT_OK(reader->ReadU8(&flag));
-  config.use_id_blocker = flag != 0;
-  if (num_threads_override > 0) {
-    config.pipeline.num_threads = num_threads_override;
-  }
-
+  GRALMATCH_RETURN_NOT_OK(
+      ReadPipelineConfig(reader, num_threads_override, &config));
   auto pipeline = std::make_unique<IncrementalPipeline>(config);
 
   uint64_t num_records = 0;
   GRALMATCH_RETURN_NOT_OK(reader->ReadCount(13, &num_records));
   for (uint64_t r = 0; r < num_records; ++r) {
-    int32_t source = 0;
-    uint8_t kind = 0;
-    GRALMATCH_RETURN_NOT_OK(reader->ReadI32(&source));
-    GRALMATCH_RETURN_NOT_OK(reader->ReadU8(&kind));
-    if (kind > static_cast<uint8_t>(RecordKind::kProduct)) {
-      return Status::IOError("corrupted checkpoint: unknown record kind " +
-                             std::to_string(kind));
-    }
-    Record rec(static_cast<SourceId>(source), static_cast<RecordKind>(kind));
-    uint64_t num_attrs = 0;
-    GRALMATCH_RETURN_NOT_OK(reader->ReadCount(16, &num_attrs));
-    for (uint64_t a = 0; a < num_attrs; ++a) {
-      std::string name, value;
-      GRALMATCH_RETURN_NOT_OK(reader->ReadString(&name));
-      GRALMATCH_RETURN_NOT_OK(reader->ReadString(&value));
-      rec.Set(name, value);
-    }
+    Record rec;
+    GRALMATCH_RETURN_NOT_OK(ReadRecord(reader, &rec));
     pipeline->records_.Add(std::move(rec));
   }
   const size_t n = pipeline->records_.size();
@@ -475,50 +485,36 @@ Result<std::unique_ptr<IncrementalPipeline>> IncrementalPipeline::Deserialize(
     pipeline->num_dead_ = static_cast<size_t>(dead_count);
   }
 
+  // An enabled blocker's index covers every record; a disabled one never
+  // sees a record, so it must be empty.
   GRALMATCH_RETURN_NOT_OK(pipeline->id_index_.LoadState(reader));
   GRALMATCH_RETURN_NOT_OK(pipeline->token_index_.LoadState(reader));
-  if (pipeline->id_index_.num_records() != n ||
-      pipeline->token_index_.num_records() != n) {
+  if (pipeline->id_index_.num_records() != (config.use_id_blocker ? n : 0) ||
+      pipeline->token_index_.num_records() !=
+          (config.use_token_blocker ? n : 0)) {
     return Status::IOError(
         "corrupted checkpoint: blocking index record counts disagree with "
-        "the record table");
+        "the record table and the enabled blockers");
   }
   // LoadState defaults every record to alive; the max-df cap tracks the
   // live count, which only the pipeline's tombstone set knows.
   pipeline->token_index_.SetNumLive(n - pipeline->num_dead_);
 
   GRALMATCH_RETURN_NOT_OK(reader->ReadString(&pipeline->fingerprint_));
-  uint64_t count = 0;
-  GRALMATCH_RETURN_NOT_OK(reader->ReadCount(12, &count));
-  pipeline->candidate_prov_.reserve(static_cast<size_t>(count));
-  for (uint64_t k = 0; k < count; ++k) {
-    RecordPair pair;
-    uint32_t prov = 0;
-    GRALMATCH_RETURN_NOT_OK(reader->ReadI32(&pair.a));
-    GRALMATCH_RETURN_NOT_OK(reader->ReadI32(&pair.b));
-    GRALMATCH_RETURN_NOT_OK(reader->ReadU32(&prov));
-    pipeline->candidate_prov_[pair] = prov;
-  }
-  GRALMATCH_RETURN_NOT_OK(reader->ReadCount(16, &count));
-  pipeline->score_cache_.reserve(static_cast<size_t>(count));
-  for (uint64_t k = 0; k < count; ++k) {
-    RecordPair pair;
-    double score = 0.0;
-    GRALMATCH_RETURN_NOT_OK(reader->ReadI32(&pair.a));
-    GRALMATCH_RETURN_NOT_OK(reader->ReadI32(&pair.b));
-    GRALMATCH_RETURN_NOT_OK(reader->ReadDouble(&score));
-    pipeline->score_cache_[pair] = score;
-  }
+  GRALMATCH_RETURN_NOT_OK(
+      ReadPairValues(reader, n, &pipeline->candidate_prov_));
+  ScoreList scores;
+  GRALMATCH_RETURN_NOT_OK(ReadScoreList(reader, n, &scores));
+  pipeline->score_cache_.reserve(scores.size());
+  pipeline->score_cache_.insert(scores.begin(), scores.end());
   std::vector<RecordPair> positives;
   GRALMATCH_RETURN_NOT_OK(ReadRecordPairs(reader, n, &positives));
   pipeline->positives_.insert(positives.begin(), positives.end());
 
   GRALMATCH_RETURN_NOT_OK(pipeline->store_.Load(reader, n));
 
-  GRALMATCH_RETURN_NOT_OK(reader->ReadU64(&u));
-  pipeline->total_matcher_calls_ = static_cast<size_t>(u);
-  GRALMATCH_RETURN_NOT_OK(reader->ReadU64(&u));
-  pipeline->total_cache_hits_ = static_cast<size_t>(u);
+  GRALMATCH_RETURN_NOT_OK(ReadMatcherCounters(
+      reader, &pipeline->total_matcher_calls_, &pipeline->total_cache_hits_));
   GRALMATCH_RETURN_NOT_OK(reader->ReadDouble(&pipeline->scoring_seconds_total_));
   GRALMATCH_RETURN_NOT_OK(reader->ReadDouble(&pipeline->cleanup_seconds_total_));
   GRALMATCH_RETURN_NOT_OK(pipeline->FinishRestore(/*rebuild_blocking=*/false));
@@ -549,15 +545,11 @@ Status IncrementalPipeline::FinishRestore(bool rebuild_blocking) {
     }
   }
 
-  // Pair ids feed unchecked records_.at() lookups in every mutation, so
-  // they are range-validated like every other record reference. Tombstoned
-  // records retract every pair they touch, so a candidate, cached score or
-  // positive referencing one is corruption.
-  auto check_pair = [this, n](const RecordPair& pair) {
-    if (pair.a < 0 || pair.b < 0 || static_cast<size_t>(pair.a) >= n ||
-        static_cast<size_t>(pair.b) >= n) {
-      return Status::IOError("corrupted checkpoint: record pair out of range");
-    }
+  // Every loaded pair passed the shared pair codec (canonical, in range)
+  // and rebuilt candidates come from the indexes. Tombstoned records
+  // retract every pair they touch, so a candidate, cached score or positive
+  // referencing one is corruption.
+  auto check_pair = [this](const RecordPair& pair) {
     if (!alive_[static_cast<size_t>(pair.a)] ||
         !alive_[static_cast<size_t>(pair.b)]) {
       return Status::IOError(

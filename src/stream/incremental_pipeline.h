@@ -46,6 +46,7 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "blocking/incremental_index.h"
@@ -228,7 +229,8 @@ class IncrementalPipeline {
   /// the two — and the candidate provenance is derived from them; otherwise
   /// both must already be loaded. Then re-verifies every cross-field
   /// invariant the mutation path dereferences unchecked: candidate,
-  /// cached and positive pairs in range and live, every candidate scored
+  /// cached and positive pairs live (the pair codec already checked them
+  /// canonical and in range), every candidate scored
   /// with known provenance bits, every positive a candidate, candidates
   /// equal to the indexes' pair sets bit by bit, empty state before the
   /// first ingest, no tombstoned record inside a component, and every
@@ -280,6 +282,41 @@ class IncrementalPipeline {
   double scoring_seconds_total_ = 0.0;
   double cleanup_seconds_total_ = 0.0;
 };
+
+// ---------------------------------------------------------------------------
+// Checkpoint section codecs. The single-file body (Serialize) and the
+// sharded manifest and shard bodies (shard/sharded_pipeline.h) encode these
+// sections through one definition each; layouts are in docs/formats.md.
+// ---------------------------------------------------------------------------
+
+/// Config fields: gamma, mu, match threshold, pre-cleanup threshold,
+/// num_threads, token top_n / min_overlap / max_token_df, then the token
+/// and ID blocker flags. The metrics sink is runtime-only and never stored.
+void WritePipelineConfig(const IncrementalPipelineConfig& config,
+                         BinaryWriter* writer);
+
+/// Read WritePipelineConfig output; a blocker flag other than 0 or 1 is
+/// corruption. `num_threads_override` replaces the stored thread count
+/// when nonzero (thread count never affects results, only scheduling).
+Status ReadPipelineConfig(BinaryReader* reader, size_t num_threads_override,
+                          IncrementalPipelineConfig* config);
+
+/// Cached (pair, score) entries, the score-cache section of every layout.
+using ScoreList = std::vector<std::pair<RecordPair, double>>;
+
+/// Write `scores` sorted by pair: u64 count, then pair + f64 per entry.
+void WriteScoreList(ScoreList scores, BinaryWriter* writer);
+
+/// Read WriteScoreList output (ReadSortedPairList: canonical pairs in
+/// [0, num_records), strictly ascending).
+Status ReadScoreList(BinaryReader* reader, size_t num_records,
+                     ScoreList* scores);
+
+/// The cumulative matcher-call and cache-hit counters, two u64s.
+void WriteMatcherCounters(size_t matcher_calls, size_t cache_hits,
+                          BinaryWriter* writer);
+Status ReadMatcherCounters(BinaryReader* reader, size_t* matcher_calls,
+                           size_t* cache_hits);
 
 }  // namespace gralmatch
 

@@ -1,10 +1,11 @@
-// Tests for the data model: records, ground truth, group-wise splits and
-// CSV round-trips.
+// Tests for the data model: records, ground truth, group-wise splits, CSV
+// round-trips and the checkpoint codecs for records and pairs.
 
 #include <set>
 
 #include <gtest/gtest.h>
 
+#include "common/binary_io.h"
 #include "data/csv.h"
 #include "data/dataset.h"
 #include "data/ground_truth.h"
@@ -113,6 +114,81 @@ TEST(RecordPairTest, NormalizesOrder) {
   EXPECT_LT(RecordPair(1, 9), RecordPair(2, 3));
   RecordPairHash hash;
   EXPECT_EQ(hash(RecordPair(5, 2)), hash(RecordPair(2, 5)));
+}
+
+TEST(RecordCodecTest, RoundTripsAndRejectsEncodingsThatWouldNotReencode) {
+  Record rec(7, RecordKind::kSecurity);
+  rec.Set("name", "acme holdings");
+  rec.Set("isin", "XS0000000001");
+  BinaryWriter writer;
+  WriteRecord(rec, &writer);
+  BinaryReader reader(writer.buffer());
+  Record decoded;
+  ASSERT_TRUE(ReadRecord(&reader, &decoded).ok());
+  EXPECT_TRUE(reader.AtEnd());
+  EXPECT_EQ(decoded.source(), rec.source());
+  EXPECT_EQ(decoded.kind(), rec.kind());
+  EXPECT_EQ(decoded.attributes(), rec.attributes());
+
+  auto encode = [](int32_t source, uint8_t kind,
+                   const std::vector<std::string>& names) {
+    BinaryWriter w;
+    w.WriteI32(source);
+    w.WriteU8(kind);
+    w.WriteU64(names.size());
+    for (const std::string& name : names) {
+      w.WriteString(name);
+      w.WriteString("v");
+    }
+    return w.buffer();
+  };
+  for (const std::string& bad :
+       {encode(1, 3, {"name"}), encode(40000, 0, {"name"}),
+        encode(1, 0, {"name", "isin", "name"})}) {
+    BinaryReader bad_reader(bad);
+    Record out;
+    const Status status = ReadRecord(&bad_reader, &out);
+    EXPECT_EQ(status.code(), StatusCode::kIoError) << status.ToString();
+  }
+}
+
+TEST(RecordPairCodecTest, DecodesOnlyCanonicalAscendingPairs) {
+  auto encode = [](const std::vector<std::pair<int32_t, int32_t>>& pairs) {
+    BinaryWriter w;
+    w.WriteU64(pairs.size());
+    for (const auto& [a, b] : pairs) {
+      w.WriteI32(a);
+      w.WriteI32(b);
+    }
+    return w.buffer();
+  };
+  auto decode = [](const std::string& bytes, std::vector<RecordPair>* out) {
+    BinaryReader reader(bytes);
+    out->clear();
+    return ReadSortedPairList(
+        &reader, 10, 8, [](size_t) {},
+        [out](const RecordPair& pair) {
+          out->push_back(pair);
+          return Status::OK();
+        });
+  };
+  std::vector<RecordPair> pairs;
+  ASSERT_TRUE(decode(encode({{0, 1}, {0, 9}, {3, 4}}), &pairs).ok());
+  EXPECT_EQ(pairs, (std::vector<RecordPair>{{0, 1}, {0, 9}, {3, 4}}));
+
+  const std::vector<std::vector<std::pair<int32_t, int32_t>>> bad = {
+      {{4, 3}},          // swapped
+      {{5, 5}},          // self pair
+      {{-1, 2}},         // out of range
+      {{2, 10}},         // out of range
+      {{3, 4}, {0, 1}},  // descending
+      {{0, 1}, {0, 1}},  // duplicate
+  };
+  for (const auto& entries : bad) {
+    const Status status = decode(encode(entries), &pairs);
+    EXPECT_EQ(status.code(), StatusCode::kIoError)
+        << entries.front().first << "," << entries.front().second;
+  }
 }
 
 TEST(SplitTest, FractionsRoughlyRespected) {

@@ -235,26 +235,6 @@ TEST(BetweennessTest, SumEqualsTotalPathLengthOnTrees) {
   }
 }
 
-TEST(BridgesTest, FindsExactlyTheBridges) {
-  // Triangle 0-1-2 plus pendant chain 2-3-4.
-  Graph g(5);
-  g.AddEdge(0, 1).ValueOrDie();
-  g.AddEdge(1, 2).ValueOrDie();
-  g.AddEdge(0, 2).ValueOrDie();
-  EdgeId b1 = g.AddEdge(2, 3).ValueOrDie();
-  EdgeId b2 = g.AddEdge(3, 4).ValueOrDie();
-  auto bridges = FindBridges(g, g.ComponentOf(0));
-  EXPECT_EQ(bridges, (std::vector<EdgeId>{b1, b2}));
-}
-
-TEST(BridgesTest, ParallelEdgesAreNotBridges) {
-  Graph g(2);
-  g.AddEdge(0, 1).ValueOrDie();
-  g.AddEdge(0, 1).ValueOrDie();
-  auto bridges = FindBridges(g, g.ComponentOf(0));
-  EXPECT_TRUE(bridges.empty());
-}
-
 TEST(UnionFindTest, BasicMergeSemantics) {
   UnionFind uf(5);
   EXPECT_EQ(uf.num_sets(), 5u);

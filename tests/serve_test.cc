@@ -389,6 +389,54 @@ TEST(CheckpointTest, EmptyPipelineRoundTrips) {
                          "empty");
 }
 
+/// Same-schedule reports must agree field by field (wall clock excluded).
+void ExpectSameReport(const IngestReport& a, const IngestReport& b,
+                      const std::string& context) {
+  EXPECT_EQ(a.records_added, b.records_added) << context;
+  EXPECT_EQ(a.records_removed, b.records_removed) << context;
+  EXPECT_EQ(a.candidates_added, b.candidates_added) << context;
+  EXPECT_EQ(a.candidates_removed, b.candidates_removed) << context;
+  EXPECT_EQ(a.pairs_scored, b.pairs_scored) << context;
+  EXPECT_EQ(a.cache_hits, b.cache_hits) << context;
+  EXPECT_EQ(a.cache_evictions, b.cache_evictions) << context;
+  EXPECT_EQ(a.components_rebuilt, b.components_rebuilt) << context;
+  EXPECT_EQ(a.components_reused, b.components_reused) << context;
+}
+
+TEST(CheckpointTest, OneBlockerPipelinesRoundTrip) {
+  // A disabled blocker's index never sees a record, so the image carries
+  // it empty; the loader must accept that for either blocker.
+  const std::vector<Record> records = FinancialRecords(40);
+  const size_t half = records.size() / 2;
+  const std::vector<Record> rest(records.begin() + static_cast<long>(half),
+                                 records.end());
+  JaccardMatcher matcher;
+  for (const bool id_only : {true, false}) {
+    const std::string context = id_only ? "id only" : "token only";
+    IncrementalPipelineConfig config = ServeConfig(1);
+    config.use_id_blocker = id_only;
+    config.use_token_blocker = !id_only;
+    IncrementalPipeline pipeline(config);
+    IngestAll(&pipeline, records, 0, half, 2, matcher);
+    ASSERT_TRUE(pipeline.Remove({3}, matcher).ok()) << context;
+    const std::string image = SerializeCheckpoint(pipeline).ValueOrDie();
+
+    auto restored = ParseCheckpoint(image, matcher);
+    ASSERT_TRUE(restored.ok()) << context << ": "
+                               << restored.status().ToString();
+    ExpectBitwiseIdentical((*restored)->Snapshot().ValueOrDie(),
+                           pipeline.Snapshot().ValueOrDie(), context);
+    EXPECT_EQ(SerializeCheckpoint(**restored).ValueOrDie(), image) << context;
+
+    auto expected = pipeline.Ingest(rest, matcher);
+    auto actual = (*restored)->Ingest(rest, matcher);
+    ASSERT_TRUE(expected.ok() && actual.ok()) << context;
+    ExpectSameReport(*actual, *expected, context);
+    ExpectEquivalent((*restored)->Snapshot().ValueOrDie(),
+                     pipeline.Snapshot().ValueOrDie(), context);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Images written by an earlier build (tests/data/checkpoints/README.md)
 // ---------------------------------------------------------------------------
@@ -707,6 +755,99 @@ TEST_F(TombstoneCheckpointCorruptionTest,
   ASSERT_TRUE(restored->Remove({0}, matcher).ok());
   const std::string v2_image = SerializeCheckpoint(*restored).ValueOrDie();
   EXPECT_EQ(static_cast<uint32_t>(static_cast<uint8_t>(v2_image[8])), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Pair canonicality: every pair field decodes through one codec that
+// requires a < b. The fixture is three security records sharing one
+// identifier (a triangle component, ids 5-7) after five unrelated records.
+// Pair (5, 7) is an ID-blocker candidate only, stored in exactly five pair
+// fields — the ID index's refcounts, candidate provenance, the score
+// cache, the positive set and the component's edge list — and its bytes
+// occur nowhere else (the rewrite counts them). Rewriting all five
+// consistently keeps every cross-field check satisfied; only the pair
+// codec can tell the pair is not canonical.
+// ---------------------------------------------------------------------------
+
+class PairCanonicalityTest : public ::testing::Test {
+ protected:
+  static std::string TriangleImage() {
+    auto security = [](SourceId source, const std::string& name,
+                       const std::string& isin) {
+      Record rec(source, RecordKind::kSecurity);
+      rec.Set("name", name);
+      rec.Set("isin", isin);
+      return rec;
+    };
+    IncrementalPipeline pipeline(ServeConfig(1));
+    JaccardMatcher matcher;
+    const std::vector<std::string> unrelated = {
+        "zeta mining", "omega foods", "delta shipping", "sigma textiles",
+        "kappa energy"};
+    std::vector<Record> batch;
+    for (size_t k = 0; k < unrelated.size(); ++k) {
+      batch.push_back(security(static_cast<SourceId>(k), unrelated[k],
+                               "ZZ000000000" + std::to_string(k)));
+    }
+    batch.push_back(security(1, "acme holdings", "XS0000000001"));
+    batch.push_back(security(2, "acme holdings group", "XS0000000001"));
+    batch.push_back(security(3, "acme holdings group", "XS0000000001"));
+    EXPECT_TRUE(pipeline.Ingest(batch, matcher).ok());
+    const std::vector<RecordPair> expected = {{5, 6}, {5, 7}, {6, 7}};
+    EXPECT_EQ(pipeline.Snapshot().ValueOrDie().predicted_pairs, expected);
+    std::string image = SerializeCheckpoint(pipeline).ValueOrDie();
+    auto unchanged = ParseCheckpoint(image, matcher);
+    EXPECT_TRUE(unchanged.ok()) << unchanged.status().ToString();
+    return image;
+  }
+
+  static std::string EncodePair(int32_t a, int32_t b) {
+    BinaryWriter writer;
+    writer.WriteI32(a);
+    writer.WriteI32(b);
+    return writer.buffer();
+  }
+
+  /// Replace every stored (5, 7) with (a, b) and recompute the trailing
+  /// checksum, so the rewrite reaches the body decoders.
+  static std::string RewritePair57(int32_t a, int32_t b) {
+    std::string image = TriangleImage();
+    const std::string from = EncodePair(5, 7);
+    const std::string to = EncodePair(a, b);
+    size_t rewritten = 0;
+    for (size_t pos = image.find(from); pos != std::string::npos;
+         pos = image.find(from, pos + from.size())) {
+      image.replace(pos, from.size(), to);
+      ++rewritten;
+    }
+    EXPECT_EQ(rewritten, 5u) << "pair (5, 7) is no longer stored in exactly "
+                                "the five pair fields";
+    image.resize(image.size() - 8);
+    BinaryWriter fixed;
+    fixed.WriteBytes(image.data(), image.size());
+    fixed.WriteU64(Fnv1a64(image));
+    return fixed.buffer();
+  }
+};
+
+TEST_F(PairCanonicalityTest, SwappedPairIsRejected) {
+  JaccardMatcher matcher;
+  auto result = ParseCheckpoint(RewritePair57(7, 5), matcher);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kIoError);
+  EXPECT_NE(result.status().message().find("not canonical"),
+            std::string::npos)
+      << result.status().ToString();
+}
+
+TEST_F(PairCanonicalityTest, SelfPairIsRejected) {
+  JaccardMatcher matcher;
+  auto result = ParseCheckpoint(RewritePair57(5, 5), matcher);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kIoError);
+  EXPECT_NE(result.status().message().find("not canonical"),
+            std::string::npos)
+      << result.status().ToString();
 }
 
 // ---------------------------------------------------------------------------

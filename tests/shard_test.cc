@@ -659,6 +659,62 @@ TEST_F(ShardedCheckpointTest, PostRestoreIngestionStaysEquivalent) {
   EXPECT_EQ((*restored)->total_matcher_calls(), sharded.total_matcher_calls());
 }
 
+TEST_F(ShardedCheckpointTest, OneBlockerPipelinesRoundTrip) {
+  // The single-file loader must accept these too (serve_test's
+  // OneBlockerPipelinesRoundTrip); the sharded one rebuilds the enabled
+  // index and leaves the disabled one empty.
+  const size_t half = records_->size() / 2;
+  const std::vector<Record> first(records_->begin(),
+                                  records_->begin() + static_cast<long>(half));
+  const std::vector<Record> rest(records_->begin() + static_cast<long>(half),
+                                 records_->end());
+  JaccardMatcher matcher;
+  for (const bool id_only : {true, false}) {
+    const std::string context = id_only ? "id only" : "token only";
+    ShardedPipelineConfig config = ShardConfig(2, 1, 0.25);
+    config.base.use_id_blocker = id_only;
+    config.base.use_token_blocker = !id_only;
+    ShardedPipeline sharded(config);
+    ASSERT_TRUE(sharded.Ingest(first, matcher).ok()) << context;
+    ASSERT_TRUE(sharded.Remove({3}, matcher).ok()) << context;
+
+    const std::string dir = TempDirFor(id_only ? "shard_id_only"
+                                               : "shard_token_only");
+    ASSERT_TRUE(SaveShardedCheckpoint(sharded, dir).ok()) << context;
+    auto restored = LoadShardedCheckpoint(dir, matcher);
+    ASSERT_TRUE(restored.ok()) << context << ": "
+                               << restored.status().ToString();
+    ExpectBitwiseIdentical((*restored)->Snapshot().ValueOrDie(),
+                           sharded.Snapshot().ValueOrDie(), context);
+
+    const std::string dir2 = TempDirFor(id_only ? "shard_id_only_resave"
+                                                : "shard_token_only_resave");
+    ASSERT_TRUE(SaveShardedCheckpoint(**restored, dir2).ok()) << context;
+    auto read_file = [](const std::string& path) {
+      std::ifstream in(path, std::ios::binary);
+      return std::string(std::istreambuf_iterator<char>(in),
+                         std::istreambuf_iterator<char>());
+    };
+    EXPECT_EQ(read_file(ShardedManifestPath(dir)),
+              read_file(ShardedManifestPath(dir2)))
+        << context;
+    const std::vector<std::string> paths = ShardFilePaths(dir).ValueOrDie();
+    const std::vector<std::string> paths2 = ShardFilePaths(dir2).ValueOrDie();
+    ASSERT_EQ(paths.size(), paths2.size()) << context;
+    for (size_t s = 0; s < paths.size(); ++s) {
+      EXPECT_EQ(read_file(paths[s]), read_file(paths2[s]))
+          << context << ", shard " << s;
+    }
+
+    auto expected = sharded.Ingest(rest, matcher);
+    auto actual = (*restored)->Ingest(rest, matcher);
+    ASSERT_TRUE(expected.ok() && actual.ok()) << context;
+    ExpectSameReport(*actual, *expected, context);
+    ExpectEquivalent((*restored)->Snapshot().ValueOrDie(),
+                     sharded.Snapshot().ValueOrDie(), context);
+  }
+}
+
 TEST_F(ShardedCheckpointTest, PreIngestCheckpointLoadsUnderAnyMatcher) {
   ShardedPipeline sharded(ShardConfig(2, 1, 0.25));
   const std::string dir = TempDirFor("shard_ckpt_empty");
@@ -1100,6 +1156,39 @@ TEST_F(TombstoneShardedCheckpointTest,
     EXPECT_NE(restored.status().message().find("does not store"),
               std::string::npos);
   }
+}
+
+TEST_F(TombstoneShardedCheckpointTest, SwappedScorePairRejected) {
+  // The scores section follows the tombstones: u64 count, then per entry
+  // i32 a, i32 b, f64. Swapping a and b of one entry (framing repaired)
+  // must be rejected by the shared pair codec itself.
+  JaccardMatcher matcher;
+  const std::string dir = TempDirFor("shard_swapped_score");
+  SaveTombstonedFixture(dir);
+  const std::vector<std::string> paths = ShardFilePaths(dir).ValueOrDie();
+  for (size_t s = 0; s < paths.size(); ++s) {
+    const std::string image = ReadFile(paths[s]);
+    size_t offset = 0;
+    std::vector<int32_t> tombstones, owned;
+    LocateTombstones(image, &offset, &tombstones, &owned);
+    const size_t scores = offset + 8 + 4 * tombstones.size();
+    if (ReadU64At(image, scores) == 0) continue;
+    const size_t entry = scores + 8;
+    const int32_t a = static_cast<int32_t>(
+        static_cast<uint32_t>(ReadU64At(image, entry) & 0xffffffffu));
+    const int32_t b = static_cast<int32_t>(
+        static_cast<uint32_t>(ReadU64At(image, entry + 4) & 0xffffffffu));
+    ASSERT_LT(a, b);
+    RewriteShardFile(dir, s, entry, EncodeI32(b) + EncodeI32(a));
+    auto restored = LoadShardedCheckpoint(dir, matcher);
+    ASSERT_FALSE(restored.ok());
+    EXPECT_EQ(restored.status().code(), StatusCode::kIoError);
+    EXPECT_NE(restored.status().message().find("not canonical"),
+              std::string::npos)
+        << restored.status().ToString();
+    return;
+  }
+  FAIL() << "no shard file holds a cached score";
 }
 
 TEST_F(TombstoneShardedCheckpointTest, MixedVersionShardFilesRejected) {

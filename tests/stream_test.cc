@@ -552,6 +552,36 @@ TEST_F(FinancialStream, ReportsObserveIncrementalScoping) {
 // WDC products fixture
 // ---------------------------------------------------------------------------
 
+TEST(PipelineConfigCodecTest, RoundTripsAndRejectsNonBooleanFlags) {
+  IncrementalPipelineConfig config = StreamConfig(3, 0.25);
+  config.use_id_blocker = false;
+  BinaryWriter writer;
+  WritePipelineConfig(config, &writer);
+
+  BinaryReader reader(writer.buffer());
+  IncrementalPipelineConfig decoded;
+  ASSERT_TRUE(ReadPipelineConfig(&reader, 0, &decoded).ok());
+  EXPECT_TRUE(reader.AtEnd());
+  EXPECT_EQ(decoded.pipeline.cleanup.gamma, config.pipeline.cleanup.gamma);
+  EXPECT_EQ(decoded.pipeline.match_threshold, config.pipeline.match_threshold);
+  EXPECT_EQ(decoded.pipeline.num_threads, 3u);
+  EXPECT_EQ(decoded.token.top_n, config.token.top_n);
+  EXPECT_TRUE(decoded.use_token_blocker);
+  EXPECT_FALSE(decoded.use_id_blocker);
+
+  BinaryReader overridden(writer.buffer());
+  ASSERT_TRUE(ReadPipelineConfig(&overridden, 8, &decoded).ok());
+  EXPECT_EQ(decoded.pipeline.num_threads, 8u);
+
+  // The two flag bytes end the section; 2 would load as "on" and re-save
+  // as 1, so it is corruption.
+  std::string bytes = writer.buffer();
+  bytes[bytes.size() - 2] = 2;
+  BinaryReader bad(bytes);
+  EXPECT_EQ(ReadPipelineConfig(&bad, 0, &decoded).code(),
+            StatusCode::kIoError);
+}
+
 TEST(WdcStream, KBatchesEquivalentAtEveryThreadCount) {
   WdcConfig config;
   config.num_entities = 120;

@@ -60,6 +60,12 @@ Rules (each finding is printed as `file:line: [rule] message`):
                    common/mutex.h: concurrent code uses the annotated
                    gralmatch::Mutex / MutexLock / CondVar wrappers so
                    clang's Thread Safety Analysis can see every lock.
+
+  pair-decode      No ReadI32(&x.a) / ReadI32(&x->b) pair-field reads in
+                   src/ outside the shared pair codec (ReadRecordPair in
+                   data/ground_truth.cc): every stored pair is decoded
+                   through the one function that requires
+                   0 <= a < b < num_records (docs/formats.md).
 """
 
 import argparse
@@ -110,6 +116,12 @@ MODULE_DEPS = {
     "serve": ("common", "core", "data", "matching", "obs", "shard", "stream"),
     "net": ("common", "exec", "obs", "serve"),
 }
+
+#: The one file allowed to read a pair's fields off the wire: the shared
+#: pair codec, which checks canonical order and range for every layout.
+PAIR_CODEC_FILE = "src/data/ground_truth.cc"
+
+PAIR_FIELD_READ_RE = re.compile(r"ReadI32\(\s*&\s*[\w\[\]]+(?:\.|->)(a|b)\s*\)")
 
 #: Files that define serialized bytes or the framing discipline and must
 #: stay observability-free: docs/observability.md promises instrumentation
@@ -356,6 +368,22 @@ def check_raw_mutex(repo_root):
     return errors
 
 
+def check_pair_decode(repo_root):
+    errors = []
+    for path in repo_files.source_files(repo_root):
+        if rel(path, repo_root) == PAIR_CODEC_FILE:
+            continue
+        for lineno, line in enumerate(
+                path.read_text(encoding="utf-8").splitlines(), start=1):
+            if PAIR_FIELD_READ_RE.search(strip_comments(line)):
+                errors.append(
+                    f"{rel(path, repo_root)}:{lineno}: [pair-decode] pair "
+                    "field read outside the shared pair codec — decode "
+                    "pairs with ReadRecordPair / ReadSortedPairList "
+                    "(data/ground_truth.h) so canonical order is checked")
+    return errors
+
+
 ALL_RULES = (
     check_framed_bytes,
     check_tmp_staging,
@@ -364,6 +392,7 @@ ALL_RULES = (
     check_module_dag,
     check_obs_inertness,
     check_raw_mutex,
+    check_pair_decode,
 )
 
 

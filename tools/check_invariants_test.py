@@ -105,6 +105,18 @@ class FixtureTreeTest(unittest.TestCase):
               "#include <mutex>\n"
               "struct S { std::mutex mu; };\n")
 
+        # pair-decode: a hand-rolled pair read on lines 2 and 3; the same
+        # reads inside the shared codec file must NOT be flagged.
+        write(root, "src/stream/bad_pairs.cc",
+              "Status f(BinaryReader* r, RecordPair* p, RecordPair q) {\n"
+              "  GRALMATCH_RETURN_NOT_OK(r->ReadI32(&q.a));\n"
+              "  return r->ReadI32(&p->b);\n"
+              "}\n")
+        write(root, "src/data/ground_truth.cc",
+              "Status g(BinaryReader* r, RecordPair* p) {\n"
+              "  return r->ReadI32(&p->a);\n"
+              "}\n")
+
         write(root, ".github/workflows/ci.yml", FIXTURE_CI)
 
         cls.findings = check_invariants.run(root)
@@ -173,12 +185,23 @@ class FixtureTreeTest(unittest.TestCase):
     def test_raw_mutex(self):
         self.assert_finding("src/exec/bad_sync.h:2", "raw-mutex")
 
+    def test_pair_decode_dot_field(self):
+        self.assert_finding("src/stream/bad_pairs.cc:2", "pair-decode")
+
+    def test_pair_decode_arrow_field(self):
+        self.assert_finding("src/stream/bad_pairs.cc:3", "pair-decode")
+
+    def test_pair_decode_codec_exempt(self):
+        flagged = [f for f in self.findings if "ground_truth.cc" in f]
+        self.assertEqual(flagged, [],
+                         "the shared pair codec is the one allowed reader")
+
     def test_no_unexpected_findings(self):
         # Every fixture finding is one of the seeded ones: no rule
         # misfires on the clean fixture files.
         seeded = ("bad_bytes.cc", "bad_tmp.cc", "orphan_test.cc",
                   "conc_test.cc", "ci.yml", "bad_dag.h", "bad_sync.h",
-                  "checkpoint.cc")
+                  "checkpoint.cc", "bad_pairs.cc")
         for f in self.findings:
             self.assertTrue(any(s in f for s in seeded),
                             f"unexpected finding: {f}")
