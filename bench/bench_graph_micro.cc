@@ -318,6 +318,77 @@ void BM_CrudChurn(benchmark::State& state) {
 BENCHMARK(BM_CrudChurn)->Arg(4)->Arg(16)->ArgName("rounds")
     ->Unit(benchmark::kMillisecond);
 
+// BM_SnapshotPublish is the rung under the end-to-end benchmark's
+// stream.snapshot_s + serve.publish_s: the publishing half of an update
+// epoch. A securities fixture of the serve workload's size (1200 groups)
+// is ingested in 16 batches once; each iteration restores that state from
+// a checkpoint, then runs `rounds` epochs of a 0.5% Update — each record
+// corrected with its own payload, as the end-to-end workload does — and
+// times only Snapshot() + MatchService::Publish (manual time).
+// items_per_second is epochs per second of that time.
+void BM_SnapshotPublish(benchmark::State& state) {
+  const size_t rounds = static_cast<size_t>(state.range(0));
+  HeuristicIdMatcher matcher;
+  static const std::string* image = [&matcher] {
+    SyntheticConfig config;
+    config.seed = 505;
+    config.num_groups = 1200;
+    const FinancialBenchmark bench = FinancialGenerator(config).Generate();
+    const RecordTable& records = bench.securities.records;
+    IncrementalPipeline pipeline(IncrementalBenchConfig());
+    constexpr size_t kBatches = 16;
+    const size_t batch_size = (records.size() + kBatches - 1) / kBatches;
+    for (size_t offset = 0; offset < records.size(); offset += batch_size) {
+      std::vector<Record> batch;
+      for (size_t i = offset; i < std::min(offset + batch_size, records.size());
+           ++i) {
+        batch.push_back(records.at(static_cast<RecordId>(i)));
+      }
+      pipeline.Ingest(batch, matcher).ValueOrDie();
+    }
+    return new std::string(SerializeCheckpoint(pipeline).ValueOrDie());
+  }();
+  for (auto _ : state) {
+    auto pipeline = ParseCheckpoint(*image, matcher).ValueOrDie();
+    MatchService service;
+    Rng rng(99);
+    double seconds = 0.0;
+    for (size_t round = 0; round < rounds; ++round) {
+      std::vector<RecordId> live;
+      for (size_t id = 0; id < pipeline->records().size(); ++id) {
+        if (pipeline->is_alive(static_cast<RecordId>(id))) {
+          live.push_back(static_cast<RecordId>(id));
+        }
+      }
+      const size_t churn = live.size() / 200 + 1;
+      std::vector<RecordUpdate> updates;
+      for (size_t k = 0; k < churn; ++k) {
+        const size_t j = k + static_cast<size_t>(rng.Uniform(live.size() - k));
+        std::swap(live[k], live[j]);
+        RecordUpdate update;
+        update.id = live[k];
+        update.record = pipeline->records().at(live[k]);
+        update.record.Set("_corrected", "1");
+        updates.push_back(std::move(update));
+      }
+      pipeline->Update(updates, matcher).ValueOrDie();
+
+      const auto start = std::chrono::steady_clock::now();
+      PipelineResult result = pipeline->Snapshot().ValueOrDie();
+      benchmark::DoNotOptimize(
+          service.Publish(result, pipeline->records().size()));
+      seconds += std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - start)
+                     .count();
+    }
+    state.SetIterationTime(seconds);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(rounds));
+}
+BENCHMARK(BM_SnapshotPublish)->Arg(16)->ArgName("rounds")->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
+
 // BM_TokenIndexChurn is the rung under the end-to-end benchmark's
 // blocking.add_s/blocking.remove_s: rounds of RemoveRecords + AddRecords
 // straight on an IncrementalTokenOverlapIndex over the securities fixture.

@@ -231,6 +231,8 @@ PipelineMetrics PipelineMetrics::Create(MetricsRegistry* registry) {
       registry->GetHistogram("pipeline_blocking_seconds");
   metrics.scoring_seconds = registry->GetHistogram("pipeline_scoring_seconds");
   metrics.cleanup_seconds = registry->GetHistogram("pipeline_cleanup_seconds");
+  metrics.snapshot_seconds =
+      registry->GetHistogram("pipeline_snapshot_seconds");
   metrics.route_seconds = registry->GetHistogram("shard_route_seconds");
   metrics.mutations = registry->GetCounter("pipeline_mutations_total");
   metrics.records_added = registry->GetCounter("pipeline_records_added_total");

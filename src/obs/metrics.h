@@ -216,6 +216,7 @@ struct PipelineMetrics {
   Histogram* blocking_seconds = nullptr;   ///< incremental index delta apply
   Histogram* scoring_seconds = nullptr;    ///< batched matcher inference
   Histogram* cleanup_seconds = nullptr;    ///< dirty-component graph cleanup
+  Histogram* snapshot_seconds = nullptr;   ///< IncrementalPipeline::Snapshot
   Histogram* route_seconds = nullptr;      ///< shard routing of a mutation
   Counter* mutations = nullptr;            ///< ingest/remove/update batches
   Counter* records_added = nullptr;

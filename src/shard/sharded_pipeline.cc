@@ -177,6 +177,7 @@ Status ShardedPipeline::SerializeShardBodies(
   for (const auto& entry : engine_.score_cache_) {
     scores[OwnerOf(entry.first)].push_back(entry);
   }
+  // The engine's positive set is ascending, so each shard's slice is too.
   std::vector<std::vector<RecordPair>> positives(num_shards);
   for (const RecordPair& pair : engine_.positives_) {
     positives[OwnerOf(pair)].push_back(pair);
@@ -215,7 +216,6 @@ Status ShardedPipeline::SerializeShardBodies(
     }
 
     WriteScoreList(std::move(scores[s]), writer);
-    std::sort(positives[s].begin(), positives[s].end());
     WriteRecordPairs(positives[s], writer);
 
     // The counters are pipeline totals: shard 0 carries them and every
@@ -333,7 +333,7 @@ Result<std::unique_ptr<ShardedPipeline>> ShardedPipeline::DeserializeFromParts(
         return Status::IOError(
             "corrupted shard checkpoint: positive pair another shard owns");
       }
-      engine.positives_.insert(pair);
+      engine.positives_.push_back(pair);
     }
     engine.total_matcher_calls_ += parts[s].matcher_calls;
     engine.total_cache_hits_ += parts[s].cache_hits;
@@ -351,6 +351,9 @@ Result<std::unique_ptr<ShardedPipeline>> ShardedPipeline::DeserializeFromParts(
           engine.store_.InsertComponent(cid, std::move(comp), n));
     }
   }
+  // Each shard's positives are ascending and no pair has two owners, so one
+  // sort leaves the merged set strictly ascending.
+  std::sort(engine.positives_.begin(), engine.positives_.end());
   engine.store_.SetNextComponentId(next_comp_id);
   GRALMATCH_RETURN_NOT_OK(engine.FinishRestore(/*rebuild_blocking=*/true));
   return pipeline;

@@ -238,25 +238,44 @@ GroupStore::ApplyReport GroupStore::Apply(
 void GroupStore::FillSnapshot(size_t num_records, const std::vector<char>* alive,
                               PipelineResult* result) const {
   // Components (and groups) in the batch pipeline's canonical order:
-  // components by smallest contained node — exactly the order a node scan
-  // produces — and groups sorted by their smallest node afterwards.
-  for (size_t u = 0; u < num_records; ++u) {
-    if (alive != nullptr && !(*alive)[u]) continue;
-    const int32_t cid = comp_of_node_[u];
-    if (cid < 0) {
-      result->pre_cleanup_components.push_back({static_cast<NodeId>(u)});
-      result->groups.push_back({static_cast<NodeId>(u)});
-      continue;
+  // components by smallest contained node, groups by smallest node. Only
+  // the (smallest node, pointer) heads of the components and of their
+  // groups are sorted; one ascending node scan then merges them with the
+  // live loose singletons, never looking up a component member.
+  std::vector<std::pair<NodeId, const ComponentState*>> comp_heads;
+  std::vector<std::pair<NodeId, const std::vector<NodeId>*>> group_heads;
+  comp_heads.reserve(comps_.size());
+  for (const auto& [cid, comp] : comps_) {
+    comp_heads.emplace_back(comp.nodes.front(), &comp);
+    for (const auto& group : comp.groups) {
+      group_heads.emplace_back(group.front(), &group);
     }
-    const ComponentState& comp = comps_.at(cid);
-    if (comp.nodes.front() != static_cast<NodeId>(u)) continue;
-    result->pre_cleanup_components.push_back(comp.nodes);
-    for (const auto& group : comp.groups) result->groups.push_back(group);
   }
-  std::sort(result->groups.begin(), result->groups.end(),
-            [](const std::vector<NodeId>& a, const std::vector<NodeId>& b) {
-              return a.front() < b.front();
-            });
+  auto by_head = [](const auto& x, const auto& y) { return x.first < y.first; };
+  std::sort(comp_heads.begin(), comp_heads.end(), by_head);
+  std::sort(group_heads.begin(), group_heads.end(), by_head);
+
+  result->pre_cleanup_components.reserve(num_records);
+  result->groups.reserve(num_records);
+  size_t next_comp = 0;
+  size_t next_group = 0;
+  for (size_t u = 0; u < num_records; ++u) {
+    const NodeId node = static_cast<NodeId>(u);
+    for (; next_comp < comp_heads.size() && comp_heads[next_comp].first <= node;
+         ++next_comp) {
+      result->pre_cleanup_components.push_back(
+          comp_heads[next_comp].second->nodes);
+    }
+    for (; next_group < group_heads.size() &&
+           group_heads[next_group].first <= node;
+         ++next_group) {
+      result->groups.push_back(*group_heads[next_group].second);
+    }
+    if (comp_of_node_[u] >= 0) continue;
+    if (alive != nullptr && !(*alive)[u]) continue;
+    result->pre_cleanup_components.push_back({node});
+    result->groups.push_back({node});
+  }
 
   for (const auto& [cid, comp] : comps_) {
     result->cleanup_stats.pre_cleanup_edges_removed +=

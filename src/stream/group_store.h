@@ -91,6 +91,8 @@ class GroupStore {
   /// Fill `result` with pre-cleanup components, groups and cleanup counters
   /// in the batch pipeline's canonical order: components by smallest
   /// contained node (singletons included), groups sorted by smallest node.
+  /// Sorts only the components' and their groups' heads, then emits in one
+  /// ascending node scan: O(num_records + groups · log groups).
   /// `alive` (optional, size `num_records`) masks out tombstoned records:
   /// dead records emit no singleton component/group — by the retraction
   /// invariant they are in no component, so the snapshot is exactly the one

@@ -1,6 +1,8 @@
 #include "stream/incremental_pipeline.h"
 
 #include <algorithm>
+#include <iterator>
+#include <unordered_set>
 #include <utility>
 
 #include "common/binary_io.h"
@@ -120,6 +122,7 @@ IngestReport IncrementalPipeline::MutateImpl(
   report.records_removed = removal_ids.size();
   for (const Record& rec : adds) records_.Add(rec);
   alive_.resize(records_.size(), 1);
+  cached_partners_.resize(records_.size());
   for (RecordId id : removal_ids) alive_[static_cast<size_t>(id)] = 0;
   num_dead_ += removal_ids.size();
   store_.EnsureNumRecords(records_.size());
@@ -128,7 +131,10 @@ IngestReport IncrementalPipeline::MutateImpl(
   // and re-derive the positive set and every component from fresh scores.
   const std::string fingerprint = matcher.Fingerprint();
   const bool rescore_all = !fingerprint_.empty() && fingerprint != fingerprint_;
-  if (rescore_all) score_cache_.clear();
+  if (rescore_all) {
+    score_cache_.clear();
+    for (std::vector<RecordId>& partners : cached_partners_) partners.clear();
+  }
   fingerprint_ = fingerprint;
 
   // Blocking: fold each index's deltas into the candidate set, snapshotting
@@ -186,22 +192,19 @@ IngestReport IncrementalPipeline::MutateImpl(
     metrics.blocking_seconds->Observe(blocking_watch.ElapsedSeconds());
   }
 
-  // Evict cached scores touching a tombstoned record. Ids never recycle, so
-  // an evicted entry can never be asked for again; surviving entries keep
-  // serving re-admitted pairs. Unaffected pairs are deliberately NOT
-  // rescored — deletion must not spend matcher calls on them.
-  if (!removal_ids.empty() && !score_cache_.empty()) {
-    std::vector<char> removed_now(records_.size(), 0);
-    for (RecordId id : removal_ids) removed_now[static_cast<size_t>(id)] = 1;
-    for (auto it = score_cache_.begin(); it != score_cache_.end();) {
-      if (removed_now[static_cast<size_t>(it->first.a)] ||
-          removed_now[static_cast<size_t>(it->first.b)]) {
-        it = score_cache_.erase(it);
-        ++report.cache_evictions;
-      } else {
-        ++it;
-      }
+  // Evict cached scores touching a tombstoned record, walking only the
+  // removed records' partner lists. Ids never recycle, so an evicted entry
+  // can never be asked for again; surviving entries keep serving
+  // re-admitted pairs. Unaffected pairs are deliberately NOT rescored —
+  // deletion must not spend matcher calls on them. A pair is counted by
+  // the erase that finds it, so one whose endpoints are both removed, or
+  // one an earlier removal evicted, is never counted twice.
+  for (RecordId id : removal_ids) {
+    std::vector<RecordId>& partners = cached_partners_[static_cast<size_t>(id)];
+    for (RecordId partner : partners) {
+      report.cache_evictions += score_cache_.erase(RecordPair(id, partner));
     }
+    std::vector<RecordId>().swap(partners);
   }
 
   // Scoring: only pairs without a cached score under the current
@@ -236,40 +239,59 @@ IngestReport IncrementalPipeline::MutateImpl(
   }
   report.scoring_seconds = scoring_watch.ElapsedSeconds();
   scoring_seconds_total_ += report.scoring_seconds;
+  // Every to-score pair is new to the cache (misses, or everything after a
+  // clear), so each enters both partner lists exactly once.
   for (size_t k = 0; k < to_score.size(); ++k) {
-    score_cache_[to_score[k]] = scores[k];
+    const RecordPair& pair = to_score[k];
+    score_cache_[pair] = scores[k];
+    cached_partners_[static_cast<size_t>(pair.a)].push_back(pair.b);
+    cached_partners_[static_cast<size_t>(pair.b)].push_back(pair.a);
   }
   report.pairs_scored = to_score.size();
   total_matcher_calls_ += to_score.size();
   total_cache_hits_ += report.cache_hits;
 
-  // Positive-edge transitions.
+  // Positive-edge transitions. Every list is strictly ascending, so the
+  // sorted positive set is updated by merging, never re-sorted.
   const double threshold = config_.pipeline.match_threshold;
   std::vector<RecordPair> pos_added, pos_removed, pos_prov_changed;
   if (rescore_all) {
-    std::unordered_set<RecordPair, RecordPairHash> now_positive;
+    std::vector<RecordPair> now_positive;
     for (const auto& [pair, prov] : candidate_prov_) {
-      if (score_cache_.at(pair) >= threshold) now_positive.insert(pair);
+      if (score_cache_.at(pair) >= threshold) now_positive.push_back(pair);
     }
-    for (const RecordPair& pair : now_positive) {
-      if (!positives_.count(pair)) pos_added.push_back(pair);
-    }
-    for (const RecordPair& pair : positives_) {
-      if (!now_positive.count(pair)) pos_removed.push_back(pair);
-    }
+    std::sort(now_positive.begin(), now_positive.end());
+    std::set_difference(now_positive.begin(), now_positive.end(),
+                        positives_.begin(), positives_.end(),
+                        std::back_inserter(pos_added));
+    std::set_difference(positives_.begin(), positives_.end(),
+                        now_positive.begin(), now_positive.end(),
+                        std::back_inserter(pos_removed));
     positives_ = std::move(now_positive);
   } else {
+    auto is_positive = [this](const RecordPair& pair) {
+      return std::binary_search(positives_.begin(), positives_.end(), pair);
+    };
+    // cand_added pairs were no candidates before, so none is positive yet.
     for (const RecordPair& pair : cand_added) {
-      if (score_cache_.at(pair) >= threshold) {
-        positives_.insert(pair);
-        pos_added.push_back(pair);
-      }
+      if (score_cache_.at(pair) >= threshold) pos_added.push_back(pair);
     }
     for (const RecordPair& pair : cand_removed) {
-      if (positives_.erase(pair) > 0) pos_removed.push_back(pair);
+      if (is_positive(pair)) pos_removed.push_back(pair);
     }
     for (const RecordPair& pair : prov_changed) {
-      if (positives_.count(pair)) pos_prov_changed.push_back(pair);
+      if (is_positive(pair)) pos_prov_changed.push_back(pair);
+    }
+    if (!pos_added.empty() || !pos_removed.empty()) {
+      std::vector<RecordPair> kept;
+      kept.reserve(positives_.size() - pos_removed.size());
+      std::set_difference(positives_.begin(), positives_.end(),
+                          pos_removed.begin(), pos_removed.end(),
+                          std::back_inserter(kept));
+      positives_.clear();
+      positives_.reserve(kept.size() + pos_added.size());
+      std::merge(kept.begin(), kept.end(), pos_added.begin(), pos_added.end(),
+                 std::back_inserter(positives_));
     }
   }
 
@@ -302,9 +324,10 @@ IngestReport IncrementalPipeline::MutateImpl(
 
 Result<PipelineResult> IncrementalPipeline::Snapshot() const {
   if (poisoned_) return PoisonError();
+  obs::TraceScope span(
+      obs::PipelineMetrics::Create(config_.pipeline.metrics).snapshot_seconds);
   PipelineResult result;
-  result.predicted_pairs.assign(positives_.begin(), positives_.end());
-  std::sort(result.predicted_pairs.begin(), result.predicted_pairs.end());
+  result.predicted_pairs = positives_;
   store_.FillSnapshot(records_.size(), &alive_, &result);
   result.cleanup_stats.seconds = cleanup_seconds_total_;
   result.inference_seconds = scoring_seconds_total_;
@@ -434,9 +457,7 @@ Status IncrementalPipeline::Serialize(BinaryWriter* writer) const {
   writer->WriteString(fingerprint_);
   WritePairValues(candidate_prov_, writer);
   WriteScoreList(ScoreList(score_cache_.begin(), score_cache_.end()), writer);
-  std::vector<RecordPair> positives(positives_.begin(), positives_.end());
-  std::sort(positives.begin(), positives.end());
-  WriteRecordPairs(positives, writer);
+  WriteRecordPairs(positives_, writer);
 
   // Component structure with cached cleanup outcomes.
   store_.Save(writer);
@@ -507,9 +528,7 @@ Result<std::unique_ptr<IncrementalPipeline>> IncrementalPipeline::Deserialize(
   GRALMATCH_RETURN_NOT_OK(ReadScoreList(reader, n, &scores));
   pipeline->score_cache_.reserve(scores.size());
   pipeline->score_cache_.insert(scores.begin(), scores.end());
-  std::vector<RecordPair> positives;
-  GRALMATCH_RETURN_NOT_OK(ReadRecordPairs(reader, n, &positives));
-  pipeline->positives_.insert(positives.begin(), positives.end());
+  GRALMATCH_RETURN_NOT_OK(ReadRecordPairs(reader, n, &pipeline->positives_));
 
   GRALMATCH_RETURN_NOT_OK(pipeline->store_.Load(reader, n));
 
@@ -557,9 +576,12 @@ Status IncrementalPipeline::FinishRestore(bool rebuild_blocking) {
     }
     return Status::OK();
   };
+  cached_partners_.assign(n, {});
   for (const auto& [pair, score] : score_cache_) {
     (void)score;
     GRALMATCH_RETURN_NOT_OK(check_pair(pair));
+    cached_partners_[static_cast<size_t>(pair.a)].push_back(pair.b);
+    cached_partners_[static_cast<size_t>(pair.b)].push_back(pair.a);
   }
   for (const RecordPair& pair : positives_) {
     GRALMATCH_RETURN_NOT_OK(check_pair(pair));
@@ -646,7 +668,7 @@ Status IncrementalPipeline::FinishRestore(bool rebuild_blocking) {
     }
   }
   return store_.Validate([this](const RecordPair& pair) {
-    return positives_.count(pair) > 0;
+    return std::binary_search(positives_.begin(), positives_.end(), pair);
   });
 }
 

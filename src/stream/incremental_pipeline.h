@@ -45,7 +45,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -154,7 +153,11 @@ class IncrementalPipeline {
   /// Current result, identical to a from-scratch EntityGroupPipeline::Run
   /// on the surviving (non-tombstoned) records (see file comment).
   /// Wall-clock fields report times accumulated across all ingests. Returns
-  /// the poison error after an aborted ingest.
+  /// the poison error after an aborted ingest. Costs one copy of the sorted
+  /// positive set plus one ascending scan over the records; only component
+  /// and group heads are sorted (GroupStore::FillSnapshot). Each successful
+  /// call is one observation of the `pipeline_snapshot_seconds` histogram
+  /// when a registry is wired.
   Result<PipelineResult> Snapshot() const;
 
   /// OK, or the poison error describing why the pipeline must be discarded.
@@ -223,8 +226,9 @@ class IncrementalPipeline {
   friend class ShardedPipeline;
 
   /// The engine-side end of both checkpoint loaders. Expects records,
-  /// tombstones, fingerprint, score cache, positives, components and
-  /// counters in place. With `rebuild_blocking` the blocking indexes are
+  /// tombstones, fingerprint, score cache, positives (strictly ascending),
+  /// components and counters in place, and rebuilds the per-record cached
+  /// partner lists from the score cache. With `rebuild_blocking` the blocking indexes are
   /// rebuilt from (records, tombstones) — their state is a pure function of
   /// the two — and the candidate provenance is derived from them; otherwise
   /// both must already be loaded. Then re-verifies every cross-field
@@ -265,8 +269,15 @@ class IncrementalPipeline {
   /// Pair-score cache for the current matcher fingerprint.
   std::string fingerprint_;
   std::unordered_map<RecordPair, double, RecordPairHash> score_cache_;
-  /// Candidate pairs currently at or above the match threshold.
-  std::unordered_set<RecordPair, RecordPairHash> positives_;
+  /// Per record id, the partners it was cached with since the last cache
+  /// clear, so eviction walks only the removed records' pairs. A partner
+  /// whose pair another removal already evicted stays listed: eviction
+  /// counts score_cache_.erase() returns, which skips it. Runtime-only —
+  /// FinishRestore rebuilds it from the loaded cache.
+  std::vector<std::vector<RecordId>> cached_partners_;
+  /// Candidate pairs currently at or above the match threshold, strictly
+  /// ascending — exactly Snapshot()'s predicted_pairs.
+  std::vector<RecordPair> positives_;
 
   /// Component structure with cached per-component cleanup outcomes.
   GroupStore store_;

@@ -216,6 +216,20 @@ void ExpectEquivalent(const PipelineResult& actual,
       << context;
 }
 
+/// Every count of two IngestReports (the wall-clock seconds excepted).
+void ExpectEqualReports(const IngestReport& a, const IngestReport& b,
+                        const std::string& context) {
+  EXPECT_EQ(a.records_added, b.records_added) << context;
+  EXPECT_EQ(a.records_removed, b.records_removed) << context;
+  EXPECT_EQ(a.candidates_added, b.candidates_added) << context;
+  EXPECT_EQ(a.candidates_removed, b.candidates_removed) << context;
+  EXPECT_EQ(a.pairs_scored, b.pairs_scored) << context;
+  EXPECT_EQ(a.cache_hits, b.cache_hits) << context;
+  EXPECT_EQ(a.cache_evictions, b.cache_evictions) << context;
+  EXPECT_EQ(a.components_rebuilt, b.components_rebuilt) << context;
+  EXPECT_EQ(a.components_reused, b.components_reused) << context;
+}
+
 IncrementalPipelineConfig CrudConfig(size_t num_threads,
                                      double match_threshold) {
   IncrementalPipelineConfig config;
@@ -622,22 +636,9 @@ TEST_F(FinancialCrud, ReportsIdenticalBetweenIncrementalAndSharded) {
   sharded_config.router_seed = 11;
   ShardedPipeline sharded(sharded_config);
 
-  auto expect_equal_reports = [](const IngestReport& a, const IngestReport& b,
-                                 const std::string& context) {
-    EXPECT_EQ(a.records_added, b.records_added) << context;
-    EXPECT_EQ(a.records_removed, b.records_removed) << context;
-    EXPECT_EQ(a.candidates_added, b.candidates_added) << context;
-    EXPECT_EQ(a.candidates_removed, b.candidates_removed) << context;
-    EXPECT_EQ(a.pairs_scored, b.pairs_scored) << context;
-    EXPECT_EQ(a.cache_hits, b.cache_hits) << context;
-    EXPECT_EQ(a.cache_evictions, b.cache_evictions) << context;
-    EXPECT_EQ(a.components_rebuilt, b.components_rebuilt) << context;
-    EXPECT_EQ(a.components_reused, b.components_reused) << context;
-  };
-
-  expect_equal_reports(incremental.Ingest(schedule.initial, matcher).ValueOrDie(),
-                       sharded.Ingest(schedule.initial, matcher).ValueOrDie(),
-                       "initial");
+  ExpectEqualReports(incremental.Ingest(schedule.initial, matcher).ValueOrDie(),
+                     sharded.Ingest(schedule.initial, matcher).ValueOrDie(),
+                     "initial");
   size_t evictions_total = 0;
   for (size_t k = 0; k < schedule.ops.size(); ++k) {
     const CrudOp& op = schedule.ops[k];
@@ -645,18 +646,18 @@ TEST_F(FinancialCrud, ReportsIdenticalBetweenIncrementalAndSharded) {
     if (!op.removals.empty()) {
       IngestReport a = incremental.Remove(op.removals, matcher).ValueOrDie();
       IngestReport b = sharded.Remove(op.removals, matcher).ValueOrDie();
-      expect_equal_reports(a, b, context + " remove");
+      ExpectEqualReports(a, b, context + " remove");
       evictions_total += a.cache_evictions;
     }
     if (!op.adds.empty()) {
-      expect_equal_reports(incremental.Ingest(op.adds, matcher).ValueOrDie(),
-                           sharded.Ingest(op.adds, matcher).ValueOrDie(),
-                           context + " add");
+      ExpectEqualReports(incremental.Ingest(op.adds, matcher).ValueOrDie(),
+                         sharded.Ingest(op.adds, matcher).ValueOrDie(),
+                         context + " add");
     }
     if (!op.updates.empty()) {
       IngestReport a = incremental.Update(op.updates, matcher).ValueOrDie();
       IngestReport b = sharded.Update(op.updates, matcher).ValueOrDie();
-      expect_equal_reports(a, b, context + " update");
+      ExpectEqualReports(a, b, context + " update");
       evictions_total += a.cache_evictions;
     }
   }
@@ -890,6 +891,110 @@ TEST_F(FinancialCrud, FingerprintChangeAfterUpdateMatchesSurvivors) {
   ShardedPipeline sharded(sharded_config);
   ExpectFingerprintChangeAfterUpdateMatchesSurvivors(
       &sharded, *records_, other, config, "sharded S=2");
+}
+
+/// Save and re-load `pipeline`: a GRLMCKPT image for the engine, a shard
+/// directory under `dir` for the sharded layer.
+std::unique_ptr<IncrementalPipeline> Reload(const IncrementalPipeline& pipeline,
+                                            const PairwiseMatcher& matcher,
+                                            const std::string& /*dir*/) {
+  return ParseCheckpoint(SerializeCheckpoint(pipeline).ValueOrDie(), matcher)
+      .ValueOrDie();
+}
+
+std::unique_ptr<ShardedPipeline> Reload(const ShardedPipeline& pipeline,
+                                        const PairwiseMatcher& matcher,
+                                        const std::string& dir) {
+  EXPECT_TRUE(SaveShardedCheckpoint(pipeline, dir).ok());
+  return LoadShardedCheckpoint(dir, matcher).ValueOrDie();
+}
+
+/// Run a churn schedule, saving and re-loading the pipeline half-way; from
+/// then on the original and the restored copy apply every mutation side by
+/// side, ending with a full rescore (fingerprint change) and a removal
+/// under the new fingerprint. Eviction walks per-record partner lists that
+/// are never serialized — the restore rebuilds them from the loaded cache
+/// and the rescore from scratch — so every report, evictions included, and
+/// every snapshot must agree.
+template <typename Pipeline>
+void ExpectChurnSurvivesRestore(Pipeline* original,
+                                const std::vector<Record>& records,
+                                const IncrementalPipelineConfig& config,
+                                const std::string& dir,
+                                const std::string& context) {
+  JaccardMatcher matcher;
+  JaccardMatcher rescoring(1.5);
+  const CrudSchedule schedule = MakeSchedule(records, 77, 12);
+  std::unique_ptr<Pipeline> restored;
+  size_t evictions = 0;
+  // Applies one mutation to the original and, once it exists, to the
+  // restored copy.
+  auto apply = [&](const auto& mutate, const std::string& step) {
+    const IngestReport report = mutate(original).ValueOrDie();
+    if (restored == nullptr) return report;
+    ExpectEqualReports(report, mutate(restored.get()).ValueOrDie(),
+                       context + " " + step);
+    ExpectEquivalent(restored->Snapshot().ValueOrDie(),
+                     original->Snapshot().ValueOrDie(), context + " " + step);
+    evictions += report.cache_evictions;
+    return report;
+  };
+
+  apply([&](Pipeline* p) { return p->Ingest(schedule.initial, matcher); },
+        "initial");
+  for (size_t k = 0; k < schedule.ops.size(); ++k) {
+    if (k == schedule.ops.size() / 2) {
+      restored = Reload(*original, matcher, dir);
+    }
+    const CrudOp& op = schedule.ops[k];
+    const std::string step = "op " + std::to_string(k);
+    if (!op.removals.empty()) {
+      apply([&](Pipeline* p) { return p->Remove(op.removals, matcher); },
+            step + " remove");
+    }
+    if (!op.adds.empty()) {
+      apply([&](Pipeline* p) { return p->Ingest(op.adds, matcher); },
+            step + " add");
+    }
+    if (!op.updates.empty()) {
+      apply([&](Pipeline* p) { return p->Update(op.updates, matcher); },
+            step + " update");
+    }
+  }
+  EXPECT_GT(evictions, 0u) << context;
+
+  apply([&](Pipeline* p) { return p->Ingest({}, rescoring); }, "rescore");
+  std::vector<RecordId> doomed;
+  for (size_t i = 0; i < original->records().size(); i += 5) {
+    if (original->is_alive(static_cast<RecordId>(i))) {
+      doomed.push_back(static_cast<RecordId>(i));
+    }
+  }
+  const IngestReport removal =
+      apply([&](Pipeline* p) { return p->Remove(doomed, rescoring); },
+            "remove after rescore");
+  EXPECT_GT(removal.cache_evictions, 0u) << context;
+  ExpectEquivalent(restored->Snapshot().ValueOrDie(),
+                   SurvivorReference(restored->records(), restored->alive(),
+                                     config, rescoring),
+                   context + " vs survivors");
+}
+
+TEST_F(FinancialCrud, EvictionCountsSurviveRestoreAndRescoring) {
+  const IncrementalPipelineConfig config = CrudConfig(2, 0.25);
+  IncrementalPipeline incremental(config);
+  ExpectChurnSurvivesRestore(&incremental, *records_, config, "", "GRLMCKPT");
+
+  ShardedPipelineConfig sharded_config;
+  sharded_config.base = config;
+  sharded_config.num_shards = 2;
+  sharded_config.router_seed = 7;
+  ShardedPipeline sharded(sharded_config);
+  ExpectChurnSurvivesRestore(
+      &sharded, *records_, config,
+      ::testing::TempDir() + "/crud_eviction_restore_" +
+          std::to_string(::testing::UnitTest::GetInstance()->random_seed()),
+      "S=2 directory");
 }
 
 TEST_F(FinancialCrud, MatchServiceExcludesTombstonedRecords) {

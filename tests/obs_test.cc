@@ -143,6 +143,7 @@ TEST(ObsRegistryTest, MetricBundlesResolveEveryInstrumentOrStayNull) {
   const ServeMetrics serve = ServeMetrics::Create(&registry);
   const NetMetrics net = NetMetrics::Create(&registry);
   EXPECT_NE(pipeline.scoring_seconds, nullptr);
+  EXPECT_NE(pipeline.snapshot_seconds, nullptr);
   EXPECT_NE(pipeline.cascade_escalated, nullptr);
   EXPECT_NE(serve.publish_seconds, nullptr);
   EXPECT_NE(serve.current_epoch, nullptr);
@@ -153,6 +154,7 @@ TEST(ObsRegistryTest, MetricBundlesResolveEveryInstrumentOrStayNull) {
 
   const PipelineMetrics off = PipelineMetrics::Create(nullptr);
   EXPECT_EQ(off.scoring_seconds, nullptr);
+  EXPECT_EQ(off.snapshot_seconds, nullptr);
   EXPECT_EQ(off.mutations, nullptr);
   EXPECT_EQ(ServeMetrics::Create(nullptr).publish_seconds, nullptr);
   EXPECT_EQ(NetMetrics::Create(nullptr).requests_served, nullptr);
@@ -458,6 +460,42 @@ TEST(ObsInertnessTest, InstrumentedShardedRunIsBitwiseIdentical) {
       }
     }
   }
+}
+
+TEST(ObsInertnessTest, EverySnapshotIsOneObservationAndChangesNoByte) {
+  // Snapshot() is the leg of an update epoch between the mutation's phases
+  // and serve_publish_seconds: each call records exactly one
+  // pipeline_snapshot_seconds observation (mutations record none), and
+  // recording changes no snapshot or checkpoint byte.
+  JaccardMatcher matcher;
+  const std::vector<Record> records = FinancialRecords();
+  IncrementalPipeline off(StreamConfig(2));
+  IngestInBatches(&off, records, matcher);
+
+  MetricsRegistry registry;
+  IncrementalPipelineConfig on_config = StreamConfig(2);
+  on_config.pipeline.metrics = &registry;
+  IncrementalPipeline on(on_config);
+  IngestInBatches(&on, records, matcher);
+  const Histogram* snapshots =
+      registry.GetHistogram("pipeline_snapshot_seconds");
+  EXPECT_EQ(snapshots->TotalCount(), 0u);
+  const PipelineResult reference = off.Snapshot().ValueOrDie();
+  for (uint64_t calls = 1; calls <= 3; ++calls) {
+    ExpectSameSnapshot(on.Snapshot().ValueOrDie(), reference);
+    EXPECT_EQ(snapshots->TotalCount(), calls);
+  }
+  EXPECT_EQ(DeterministicBody(on), DeterministicBody(off));
+
+  // The sharded layer snapshots through the engine: one observation too.
+  ShardedPipelineConfig sharded_config;
+  sharded_config.base = on_config;
+  sharded_config.num_shards = 2;
+  ShardedPipeline sharded(sharded_config);
+  IngestInBatches(&sharded, records, matcher);
+  const uint64_t before = snapshots->TotalCount();
+  ExpectSameSnapshot(sharded.Snapshot().ValueOrDie(), reference);
+  EXPECT_EQ(snapshots->TotalCount(), before + 1);
 }
 
 TEST(ObsInertnessTest, RestoredPipelineIsUninstrumentedUntilRewired) {

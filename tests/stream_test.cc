@@ -8,7 +8,9 @@
 // both the financial-securities and WDC-products fixtures. The suite also
 // proves the pair-score cache prevents matcher re-invocation (a counting
 // matcher asserts every scored pair is scored exactly once per fingerprint)
-// and that a fingerprint change invalidates the cache.
+// and that a fingerprint change invalidates the cache, and pins the
+// canonical emission order when groups of one component interleave with
+// another component and with tombstoned records.
 
 #include <gtest/gtest.h>
 
@@ -546,6 +548,91 @@ TEST_F(FinancialStream, ReportsObserveIncrementalScoping) {
   // Later batches must splice some untouched components through unchanged —
   // the point of dirty-component scoping.
   EXPECT_GT(reused_total, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Canonical emission order
+// ---------------------------------------------------------------------------
+
+/// Scores 1 exactly for the listed pairs of record names "r<k>", else 0.
+class EdgeListMatcher : public PairwiseMatcher {
+ public:
+  explicit EdgeListMatcher(std::set<std::pair<int, int>> edges)
+      : edges_(std::move(edges)) {}
+
+  std::string name() const override { return "edge-list"; }
+  std::string Fingerprint() const override { return "edge-list"; }
+  double MatchProbability(const Record& a, const Record& b) const override {
+    const int x = std::stoi(std::string(a.Get("name")).substr(1));
+    const int y = std::stoi(std::string(b.Get("name")).substr(1));
+    return edges_.count({std::min(x, y), std::max(x, y)}) ? 1.0 : 0.0;
+  }
+
+ private:
+  std::set<std::pair<int, int>> edges_;
+};
+
+TEST(CanonicalOrderTest, InterleavedGroupsAndTombstonesMatchTheBatchOrder) {
+  // Twelve records from twelve sources in one identifier bucket, so every
+  // pair is a candidate and the matcher alone draws the graph. Component A is the path
+  // 0-3-6-9-8; removing 8 leaves 0-3-6-9, which the betweenness phase
+  // (mu = 3) splits into {0,3} and {6,9}. Component B = {4,5} has its
+  // smallest node between A's two groups, and the tombstoned singletons 1
+  // and 7 sit between them too. A is rebuilt by the removal under a fresh
+  // component id, so store order differs from canonical order.
+  const EdgeListMatcher matcher({{0, 3}, {3, 6}, {6, 9}, {8, 9}, {4, 5}});
+  std::vector<Record> records;
+  for (int k = 0; k < 12; ++k) {
+    Record rec(static_cast<SourceId>(k), RecordKind::kSecurity);
+    rec.Set("name", "r" + std::to_string(k));
+    rec.Set("isin", "SHARED");
+    records.push_back(std::move(rec));
+  }
+  const std::vector<std::vector<NodeId>> expected_components = {
+      {0, 3, 6, 9}, {2}, {4, 5}, {10}, {11}};
+  const std::vector<std::vector<NodeId>> expected_groups = {
+      {0, 3}, {2}, {4, 5}, {6, 9}, {10}, {11}};
+
+  for (const size_t num_threads : {size_t{1}, size_t{2}, size_t{8}}) {
+    SCOPED_TRACE("threads=" + std::to_string(num_threads));
+    IncrementalPipelineConfig config = StreamConfig(num_threads, 0.5);
+    config.use_token_blocker = false;
+    IncrementalPipeline pipeline(config);
+    ASSERT_TRUE(pipeline
+                    .Ingest(std::vector<Record>(records.begin(),
+                                                records.begin() + 6),
+                            matcher)
+                    .ok());
+    ASSERT_TRUE(
+        pipeline
+            .Ingest(std::vector<Record>(records.begin() + 6, records.end()),
+                    matcher)
+            .ok());
+    ASSERT_TRUE(pipeline.Remove({1, 7, 8}, matcher).ok());
+    const PipelineResult snapshot = pipeline.Snapshot().ValueOrDie();
+    EXPECT_EQ(snapshot.pre_cleanup_components, expected_components);
+    EXPECT_EQ(snapshot.groups, expected_groups);
+
+    // The batch run on the survivors, its compact ids mapped back.
+    RecordTable survivors;
+    std::vector<NodeId> original;
+    for (size_t i = 0; i < pipeline.records().size(); ++i) {
+      if (!pipeline.is_alive(static_cast<RecordId>(i))) continue;
+      survivors.Add(pipeline.records().at(static_cast<RecordId>(i)));
+      original.push_back(static_cast<NodeId>(i));
+    }
+    PipelineResult reference = RunBatchReference(survivors, config, matcher);
+    for (RecordPair& pair : reference.predicted_pairs) {
+      pair = RecordPair(original[static_cast<size_t>(pair.a)],
+                        original[static_cast<size_t>(pair.b)]);
+    }
+    for (auto* sets : {&reference.pre_cleanup_components, &reference.groups}) {
+      for (std::vector<NodeId>& nodes : *sets) {
+        for (NodeId& u : nodes) u = original[static_cast<size_t>(u)];
+      }
+    }
+    ExpectEquivalent(snapshot, reference, "survivor reference");
+  }
 }
 
 // ---------------------------------------------------------------------------
