@@ -30,6 +30,7 @@
 #include "matching/transformer_matcher.h"
 #include "net/net_client.h"
 #include "net/net_server.h"
+#include "nn/matrix.h"
 #include "nn/transformer.h"
 #include "obs/metrics.h"
 #include "serve/checkpoint.h"
@@ -626,6 +627,82 @@ void BM_VocabEncode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_VocabEncode);
+
+// The nn products one layer under BM_TransformerPredictBatch, at the
+// matcher's shapes (d_model 32, 2 heads of 16, d_ff 64; 1536 packed rows =
+// 64 sequences of ~24 tokens). Args are m, k, n of out(m x n) = a(m x k) *
+// b(k x n); items_per_second counts multiply-adds. With `relu`, `a` is
+// post-ReLU (about half exact zeros), so the zero-skip path runs.
+Matrix BenchOperand(size_t rows, size_t cols, uint64_t seed, bool relu) {
+  Rng rng(seed);
+  Matrix x(rows, cols);
+  x.FillNormal(&rng, 1.0f);
+  if (relu) {
+    for (size_t i = 0; i < x.size(); ++i) {
+      x.data()[i] = std::max(x.data()[i], 0.0f);
+    }
+  }
+  return x;
+}
+
+void SetMacsProcessed(benchmark::State& state) {
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0) * state.range(1) * state.range(2));
+}
+
+/// out = a * b (projections, FFN, attention-weighted values).
+void BM_MatMul(benchmark::State& state) {
+  const size_t m = static_cast<size_t>(state.range(0));
+  const size_t k = static_cast<size_t>(state.range(1));
+  const size_t n = static_cast<size_t>(state.range(2));
+  const Matrix a = BenchOperand(m, k, 1, state.range(3) != 0);
+  const Matrix b = BenchOperand(k, n, 2, false);
+  Matrix out;
+  for (auto _ : state) {
+    MatMul(a, b, &out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  SetMacsProcessed(state);
+}
+BENCHMARK(BM_MatMul)
+    ->ArgNames({"m", "k", "n", "relu"})
+    ->Args({1536, 32, 32, 0})  // Q/K/V/O projections
+    ->Args({1536, 32, 64, 0})  // FFN up-projection
+    ->Args({1536, 64, 32, 1})  // FFN down-projection of post-ReLU h1
+    ->Args({24, 24, 16, 0});   // one head: softmax(scores) * V
+
+/// out = a * b^T (attention scores Q K^T of one head).
+void BM_MatMulNT(benchmark::State& state) {
+  const size_t m = static_cast<size_t>(state.range(0));
+  const size_t k = static_cast<size_t>(state.range(1));
+  const size_t n = static_cast<size_t>(state.range(2));
+  const Matrix a = BenchOperand(m, k, 3, false);
+  const Matrix b = BenchOperand(n, k, 4, false);
+  Matrix out;
+  for (auto _ : state) {
+    MatMulNT(a, b, &out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  SetMacsProcessed(state);
+}
+BENCHMARK(BM_MatMulNT)->ArgNames({"m", "k", "n"})->Args({24, 16, 24});
+
+/// out = a^T * b (weight gradient dW2 = h1^T dx of one 48-token training
+/// sequence; a is the post-ReLU h1, 48 x 64).
+void BM_MatMulTN(benchmark::State& state) {
+  const size_t m = static_cast<size_t>(state.range(0));
+  const size_t k = static_cast<size_t>(state.range(1));
+  const size_t n = static_cast<size_t>(state.range(2));
+  const Matrix a = BenchOperand(k, m, 5, true);
+  const Matrix b = BenchOperand(k, n, 6, false);
+  Matrix out;
+  for (auto _ : state) {
+    MatMulTN(a, b, &out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  SetMacsProcessed(state);
+}
+BENCHMARK(BM_MatMulTN)->ArgNames({"m", "k", "n"})->Args({64, 48, 32});
 
 void BM_TransformerPredict(benchmark::State& state) {
   TransformerConfig config;

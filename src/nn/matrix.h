@@ -4,8 +4,10 @@
 /// \file matrix.h
 /// Minimal dense row-major float matrix used by the from-scratch transformer
 /// (the DistilBERT stand-in; see DESIGN.md substitution table). Only the
-/// operations the model needs are provided; all are cache-aware naive loops
-/// tuned for the small dimensions involved (d_model <= 64).
+/// operations the model needs are provided. The three products run through
+/// one register-held row kernel (nn/matmul_kernel.h) whose per-element
+/// operation sequence is fixed, so results do not depend on the CPU the
+/// kernel instantiation was picked for.
 
 #include <cstddef>
 #include <vector>
@@ -74,19 +76,18 @@ class Matrix {
 
 /// out = a * b. Shapes: (m x k) * (k x n) -> (m x n). `out` is resized in
 /// place (its allocation is reused when large enough) and must not alias
-/// `a` or `b`.
+/// `a` or `b`. Element (i, j) adds a(i, p) * b(p, j) for p = 0 .. k-1 in
+/// order, starting from +0.0f, and skips the terms whose a(i, p) is zero.
 void MatMul(const Matrix& a, const Matrix& b, Matrix* out);
 
 /// out = a^T * b. Shapes: (k x m)^T * (k x n) -> (m x n). Same resize-in-
-/// place and no-alias rules as MatMul.
+/// place, no-alias, order and zero-skip rules as MatMul.
 void MatMulTN(const Matrix& a, const Matrix& b, Matrix* out);
 
 /// out = a * b^T. Shapes: (m x k) * (n x k)^T -> (m x n). Same resize-in-
-/// place and no-alias rules as MatMul.
+/// place, no-alias and order rules as MatMul, but no term is skipped: each
+/// element is the plain dot product of a row of `a` and a row of `b`.
 void MatMulNT(const Matrix& a, const Matrix& b, Matrix* out);
-
-/// out += a * b (accumulating variant of MatMul; `out` must be presized).
-void MatMulAcc(const Matrix& a, const Matrix& b, Matrix* out);
 
 }  // namespace gralmatch
 

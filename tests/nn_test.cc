@@ -4,11 +4,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "nn/matmul_kernel.h"
 #include "nn/matrix.h"
 #include "nn/optimizer.h"
 #include "nn/trainer.h"
@@ -81,6 +87,235 @@ TEST(MatrixTest, AddScaleZero) {
   EXPECT_FLOAT_EQ(a.at(1, 1), 8.0f);
   a.Zero();
   EXPECT_FLOAT_EQ(a.at(0, 0), 0.0f);
+}
+
+// --- Row-kernel differential: every compiled instantiation against a naive
+// triple loop that keeps the per-element operation order and zero-skip rule
+// (nn/matmul_kernel.h), compared bit pattern by bit pattern.
+
+enum class Product { kMatMul, kMatMulAcc, kMatMulTN, kMatMulNT };
+
+const char* ProductName(Product kind) {
+  switch (kind) {
+    case Product::kMatMul:
+      return "MatMul";
+    case Product::kMatMulAcc:
+      return "MatMulAcc";
+    case Product::kMatMulTN:
+      return "MatMulTN";
+    case Product::kMatMulNT:
+      return "MatMulNT";
+  }
+  return "?";
+}
+
+/// The instantiations this binary can run: the portable one always, the
+/// AVX2 one when it is compiled in and the CPU reports AVX2.
+std::vector<std::pair<std::string, nn_internal::RowKernel>> Kernels() {
+  std::vector<std::pair<std::string, nn_internal::RowKernel>> kernels;
+  kernels.emplace_back("portable", nn_internal::PortableKernel());
+  if (nn_internal::RowKernel avx2 = nn_internal::Avx2Kernel()) {
+    kernels.emplace_back("avx2", avx2);
+  }
+  return kernels;
+}
+
+/// out(i, j) from +0.0f (or the prefill), adding a(i, p) * b(p, j) in
+/// ascending p; terms with a zero a(i, p) are skipped except in MatMulNT.
+/// `a` and `b` are the operands as passed to the product.
+Matrix ReferenceProduct(Product kind, const Matrix& a, const Matrix& b,
+                        const Matrix& prefill) {
+  const bool tn = kind == Product::kMatMulTN;
+  const bool nt = kind == Product::kMatMulNT;
+  const size_t m = tn ? a.cols() : a.rows();
+  const size_t k = tn ? a.rows() : a.cols();
+  const size_t n = nt ? b.rows() : b.cols();
+  Matrix out(m, n);
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      float acc = kind == Product::kMatMulAcc ? prefill.at(i, j) : 0.0f;
+      for (size_t p = 0; p < k; ++p) {
+        const float av = tn ? a.at(p, i) : a.at(i, p);
+        const float bv = nt ? b.at(j, p) : b.at(p, j);
+        if (!nt && av == 0.0f) continue;
+        acc = acc + av * bv;
+      }
+      out.at(i, j) = acc;
+    }
+  }
+  return out;
+}
+
+Matrix RunProduct(nn_internal::RowKernel kernel, Product kind, const Matrix& a,
+                  const Matrix& b, const Matrix& prefill) {
+  Matrix out;
+  switch (kind) {
+    case Product::kMatMul:
+      nn_internal::MatMulWith(kernel, a, b, &out);
+      break;
+    case Product::kMatMulAcc:
+      out = prefill;
+      nn_internal::MatMulWith(kernel, a, b, &out, /*accumulate=*/true);
+      break;
+    case Product::kMatMulTN:
+      nn_internal::MatMulTNWith(kernel, a, b, &out);
+      break;
+    case Product::kMatMulNT:
+      nn_internal::MatMulNTWith(kernel, a, b, &out);
+      break;
+  }
+  return out;
+}
+
+/// Normal values mixed with exact +0.0, -0.0 and subnormals at `zero_rate`.
+float KernelTestValue(Rng* rng, double zero_rate) {
+  const double u = rng->UniformDouble();
+  if (u < zero_rate * 0.6) return 0.0f;
+  if (u < zero_rate) return -0.0f;
+  if (u < zero_rate + 0.05) return rng->Bernoulli(0.5) ? 3e-40f : -7e-41f;
+  return static_cast<float>(rng->Normal());
+}
+
+/// rows x cols with every other row free of zeros (so both the in-place
+/// two-row path and the zero-skip gather path run) and the rest at
+/// `zero_rate`.
+Matrix KernelTestMatrix(Rng* rng, size_t rows, size_t cols, double zero_rate,
+                        bool zero_free_even_rows) {
+  Matrix x(rows, cols);
+  for (size_t i = 0; i < rows; ++i) {
+    const bool zero_free = zero_free_even_rows && i % 2 == 0;
+    for (size_t j = 0; j < cols; ++j) {
+      float v = KernelTestValue(rng, zero_rate);
+      while (zero_free && v == 0.0f) v = KernelTestValue(rng, zero_rate);
+      x.at(i, j) = v;
+    }
+  }
+  return x;
+}
+
+Matrix Transposed(const Matrix& x) {
+  Matrix t(x.cols(), x.rows());
+  for (size_t i = 0; i < x.rows(); ++i) {
+    for (size_t j = 0; j < x.cols(); ++j) t.at(j, i) = x.at(i, j);
+  }
+  return t;
+}
+
+uint32_t Bits(float x) {
+  uint32_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+/// Same shape and the same bit pattern in every element (so -0.0 differs
+/// from +0.0, and NaNs compare by payload).
+bool BitwiseEqual(const Matrix& x, const Matrix& y) {
+  if (!x.SameShape(y)) return false;
+  for (size_t i = 0; i < x.size(); ++i) {
+    if (Bits(x.data()[i]) != Bits(y.data()[i])) return false;
+  }
+  return true;
+}
+
+TEST(MatMulKernelTest, EveryInstantiationBitwiseEqualsTheReference) {
+  Rng rng(19);
+  const size_t kNs[] = {1, 7, 8, 15, 16, 17, 31, 33, 48, 64};
+  // 200 > the kernel's term block, so sparse rows also spill and reload
+  // their accumulators mid-reduction.
+  const size_t kKs[] = {1, 2, 3, 16, 32, 64, 200};
+  const size_t kMs[] = {1, 2, 5};
+  const Product kKinds[] = {Product::kMatMul, Product::kMatMulAcc,
+                            Product::kMatMulTN, Product::kMatMulNT};
+  for (const auto& [name, kernel] : Kernels()) {
+    for (size_t n : kNs) {
+      for (size_t k : kKs) {
+        for (size_t m : kMs) {
+          for (double zero_rate : {0.0, 0.3}) {
+            // `logical_a` is the m x k left operand the kernel sees.
+            const Matrix logical_a =
+                KernelTestMatrix(&rng, m, k, zero_rate, true);
+            const Matrix b = KernelTestMatrix(&rng, k, n, 0.3, false);
+            const Matrix prefill = KernelTestMatrix(&rng, m, n, 0.3, false);
+            for (Product kind : kKinds) {
+              const Matrix a = kind == Product::kMatMulTN
+                                   ? Transposed(logical_a)
+                                   : logical_a;
+              const Matrix rhs =
+                  kind == Product::kMatMulNT ? Transposed(b) : b;
+              const Matrix want = ReferenceProduct(kind, a, rhs, prefill);
+              const Matrix got = RunProduct(kernel, kind, a, rhs, prefill);
+              ASSERT_TRUE(BitwiseEqual(want, got))
+                  << name << " " << ProductName(kind) << " m=" << m
+                  << " k=" << k << " n=" << n << " zero_rate=" << zero_rate;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(MatMulKernelTest, PublicEntryPointsRunThePickedKernel) {
+  Rng rng(23);
+  const Matrix a = KernelTestMatrix(&rng, 5, 33, 0.3, true);
+  const Matrix b = KernelTestMatrix(&rng, 33, 17, 0.3, false);
+  const Matrix bt = Transposed(b);
+  const Matrix none;
+  Matrix got;
+  MatMul(a, b, &got);
+  EXPECT_TRUE(
+      BitwiseEqual(ReferenceProduct(Product::kMatMul, a, b, none), got));
+  MatMulNT(a, bt, &got);
+  EXPECT_TRUE(
+      BitwiseEqual(ReferenceProduct(Product::kMatMulNT, a, bt, none), got));
+  const Matrix at = Transposed(a);
+  MatMulTN(at, b, &got);
+  EXPECT_TRUE(
+      BitwiseEqual(ReferenceProduct(Product::kMatMulTN, at, b, none), got));
+}
+
+TEST(MatMulKernelTest, MultiplyAndAddRoundSeparately) {
+  // (1 + 2^-12)^2 = 1 + 2^-11 + 2^-24 is not a float: the product rounds
+  // to 1 + 2^-11 and cancels the first term exactly. A fused multiply-add
+  // would keep the 2^-24. This pins -ffp-contract=off (CMakeLists.txt) on
+  // builds whose -march has FMA, independently of any libm.
+  const float x = 1.0f + std::ldexp(1.0f, -12);
+  Matrix a(1, 2), b(2, 1), bt(1, 2), out;
+  a.at(0, 0) = 1.0f;
+  a.at(0, 1) = x;
+  b.at(0, 0) = -(1.0f + std::ldexp(1.0f, -11));
+  b.at(1, 0) = x;
+  bt.at(0, 0) = b.at(0, 0);
+  bt.at(0, 1) = b.at(1, 0);
+  for (const auto& [name, kernel] : Kernels()) {
+    SCOPED_TRACE(name);
+    nn_internal::MatMulWith(kernel, a, b, &out);
+    EXPECT_EQ(out.at(0, 0), 0.0f);
+    nn_internal::MatMulTNWith(kernel, Transposed(a), b, &out);
+    EXPECT_EQ(out.at(0, 0), 0.0f);
+    nn_internal::MatMulNTWith(kernel, a, bt, &out);
+    EXPECT_EQ(out.at(0, 0), 0.0f);
+  }
+}
+
+TEST(MatMulKernelTest, ZeroOppositeInfIsSkippedExceptByMatMulNT) {
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const auto& [name, kernel] : Kernels()) {
+    SCOPED_TRACE(name);
+    // a = [0, 1] against the column [inf, 2]: the skip drops 0 * inf.
+    Matrix a(1, 2), b(2, 1), out;
+    a.at(0, 0) = 0.0f;
+    a.at(0, 1) = 1.0f;
+    b.at(0, 0) = inf;
+    b.at(1, 0) = 2.0f;
+    nn_internal::MatMulWith(kernel, a, b, &out);
+    EXPECT_EQ(out.at(0, 0), 2.0f);
+    nn_internal::MatMulTNWith(kernel, Transposed(a), b, &out);
+    EXPECT_EQ(out.at(0, 0), 2.0f);
+    // The dot product adds every term, so 0 * inf makes the result NaN.
+    nn_internal::MatMulNTWith(kernel, a, Transposed(b), &out);
+    EXPECT_TRUE(std::isnan(out.at(0, 0)));
+  }
 }
 
 TEST(AdamTest, MinimizesQuadratic) {

@@ -947,9 +947,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, UnionFindPropertyTest,
 // ---------------------------------------------------------------------------
 // ScoreBatch batching invariance: for every matcher, any random split of a
 // pair set into batches is bitwise-identical to per-pair MatchProbability —
-// the contract in matching/matcher.h. Runs under both kernel builds (the
-// scalar-kernels CI leg recompiles with -DGRALMATCH_SIMD=OFF), so it also
-// pins that the SIMD annotations never reassociate a result.
+// the contract in matching/matcher.h. Runs under every kernel build (the
+// scalar-kernels CI leg recompiles with -DGRALMATCH_SIMD=OFF and with
+// -march=x86-64-v3), so it also pins that neither the SIMD annotations nor
+// the matmul kernel instantiations ever reassociate a result.
 // ---------------------------------------------------------------------------
 
 class ScoreBatchPropertyTest : public ::testing::TestWithParam<uint64_t> {

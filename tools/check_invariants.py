@@ -66,6 +66,13 @@ Rules (each finding is printed as `file:line: [rule] message`):
                    data/ground_truth.cc): every stored pair is decoded
                    through the one function that requires
                    0 <= a < b < num_records (docs/formats.md).
+
+  fp-contract      The top-level CMakeLists.txt passes -ffp-contract=off
+                   through gralmatch_compile_options (every first-party
+                   target), and no CMakeLists.txt turns contraction or
+                   -ffast-math back on: a fused multiply-add rounds once
+                   and would change the nn kernels' bits on any -march
+                   with FMA (docs/matchers.md "Kernel dispatch").
 """
 
 import argparse
@@ -137,6 +144,11 @@ OBS_FREE_FILES = {
     "src/net/wire.h": "RPC frame encode/decode",
     "src/net/wire.cc": "RPC frame encode/decode",
 }
+
+#: The flag every first-party target must compile with, and the CMake
+#: settings that would undo it.
+FP_CONTRACT_FLAG = "-ffp-contract=off"
+FP_UNSAFE_RE = re.compile(r"-ffp-contract=(?!off\b)\w+|-ffast-math\b")
 
 OBS_SYMBOL_RE = re.compile(r'#include\s+"obs/|\bobs::|\bMetricsRegistry\b')
 
@@ -384,6 +396,49 @@ def check_pair_decode(repo_root):
     return errors
 
 
+def cmake_code(text):
+    """CMake text with # comments blanked (line numbers kept)."""
+    return "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+
+
+def cmake_call_args(code, command, first_arg):
+    """(argument text, 1-based line) of each `command(first_arg ...)` call
+    in comment-stripped CMake code."""
+    for m in re.finditer(rf"\b{command}\(\s*{first_arg}\b", code):
+        depth, i = 1, m.end()
+        while i < len(code) and depth:
+            depth += {"(": 1, ")": -1}.get(code[i], 0)
+            i += 1
+        yield code[m.end():i - 1], code[:m.start()].count("\n") + 1
+
+
+def check_fp_contract(repo_root):
+    errors = []
+    top = repo_root / "CMakeLists.txt"
+    code = cmake_code(top.read_text(encoding="utf-8")) if top.is_file() else ""
+    calls = list(cmake_call_args(code, "target_compile_options",
+                                 "gralmatch_compile_options"))
+    if not any(FP_CONTRACT_FLAG in args for args, _ in calls):
+        lineno = calls[0][1] if calls else 1
+        errors.append(
+            f"CMakeLists.txt:{lineno}: [fp-contract] gralmatch_compile_options "
+            f"must carry {FP_CONTRACT_FLAG}: without it an FMA-capable -march "
+            "fuses multiply-adds and changes the nn kernels' bits")
+    for path in sorted(repo_root.glob("**/CMakeLists.txt")):
+        if any(part.startswith((".", "build")) for part in
+               path.relative_to(repo_root).parts[:-1]):
+            continue  # build trees and tool caches
+        lines = cmake_code(path.read_text(encoding="utf-8")).splitlines()
+        for lineno, line in enumerate(lines, start=1):
+            m = FP_UNSAFE_RE.search(line)
+            if m:
+                errors.append(
+                    f"{rel(path, repo_root)}:{lineno}: [fp-contract] "
+                    f"{m.group(0)} re-enables FP contraction — the nn "
+                    "kernels' multiply and add must round separately")
+    return errors
+
+
 ALL_RULES = (
     check_framed_bytes,
     check_tmp_staging,
@@ -393,6 +448,7 @@ ALL_RULES = (
     check_obs_inertness,
     check_raw_mutex,
     check_pair_decode,
+    check_fp_contract,
 )
 
 

@@ -117,6 +117,17 @@ class FixtureTreeTest(unittest.TestCase):
               "  return r->ReadI32(&p->a);\n"
               "}\n")
 
+        # fp-contract: the shared compile options lack the flag (the call
+        # starts on line 2; the mention in the line-1 comment must not
+        # count), and a module turns contraction back on (line 2).
+        write(root, "CMakeLists.txt",
+              "# -ffp-contract=off is promised here\n"
+              "target_compile_options(gralmatch_compile_options INTERFACE\n"
+              "  -Wall -Wextra)\n")
+        write(root, "src/nn/CMakeLists.txt",
+              "add_library(gralmatch_nn matrix.cc)\n"
+              "target_compile_options(gralmatch_nn PRIVATE -ffp-contract=fast)\n")
+
         write(root, ".github/workflows/ci.yml", FIXTURE_CI)
 
         cls.findings = check_invariants.run(root)
@@ -196,12 +207,18 @@ class FixtureTreeTest(unittest.TestCase):
         self.assertEqual(flagged, [],
                          "the shared pair codec is the one allowed reader")
 
+    def test_fp_contract_flag_missing(self):
+        self.assert_finding("CMakeLists.txt:2", "fp-contract")
+
+    def test_fp_contract_reenabled(self):
+        self.assert_finding("src/nn/CMakeLists.txt:2", "fp-contract")
+
     def test_no_unexpected_findings(self):
         # Every fixture finding is one of the seeded ones: no rule
         # misfires on the clean fixture files.
         seeded = ("bad_bytes.cc", "bad_tmp.cc", "orphan_test.cc",
                   "conc_test.cc", "ci.yml", "bad_dag.h", "bad_sync.h",
-                  "checkpoint.cc", "bad_pairs.cc")
+                  "checkpoint.cc", "bad_pairs.cc", "CMakeLists.txt")
         for f in self.findings:
             self.assertTrue(any(s in f for s in seeded),
                             f"unexpected finding: {f}")
