@@ -130,8 +130,7 @@ Status BinaryReader::ReadCount(size_t min_element_size, uint64_t* out) {
   return Status::OK();
 }
 
-uint64_t Fnv1a64(std::string_view data) {
-  uint64_t hash = 14695981039346656037ull;
+uint64_t Fnv1a64(std::string_view data, uint64_t hash) {
   for (char c : data) {
     hash ^= static_cast<uint8_t>(c);
     hash *= 1099511628211ull;

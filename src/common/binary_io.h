@@ -73,7 +73,6 @@ class BinaryReader {
 
   size_t remaining() const { return data_.size() - pos_; }
   bool AtEnd() const { return pos_ == data_.size(); }
-  size_t position() const { return pos_; }
 
  private:
   Status Take(size_t n, const char** out);
@@ -82,8 +81,20 @@ class BinaryReader {
   size_t pos_ = 0;
 };
 
+/// The standard FNV-1a 64-bit offset basis.
+inline constexpr uint64_t kFnv1a64Offset = 14695981039346656037ull;
+
+/// The start value of two persisted hashes: the standard offset basis with
+/// its last digit dropped. ShardRouter::KeyOf starts here (it decides which
+/// shard file stores a record, and the sharded loader checks that choice),
+/// and so does TfidfLogRegMatcher::Fingerprint (checkpoint headers carry
+/// it). Do not "fix" it to kFnv1a64Offset: every record would route to
+/// another shard and no saved checkpoint would load.
+inline constexpr uint64_t kFnv1a64ShortOffset = 1469598103934665603ull;
+
 /// FNV-1a 64-bit hash of a byte buffer (checkpoint payload checksum).
-uint64_t Fnv1a64(std::string_view data);
+/// Passing a previous result as `hash` continues that hash over `data`.
+uint64_t Fnv1a64(std::string_view data, uint64_t hash = kFnv1a64Offset);
 
 }  // namespace gralmatch
 

@@ -79,18 +79,15 @@ CliFlags CliFlags::Parse(int argc, char** argv) {
   CliFlags out;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (StartsWith(arg, "--")) {
-      std::string body = arg.substr(2);
-      size_t eq = body.find('=');
-      if (eq != std::string::npos) {
-        out.flags_[body.substr(0, eq)] = body.substr(eq + 1);
-      } else if (i + 1 < argc && !StartsWith(argv[i + 1], "--")) {
-        out.flags_[body] = argv[++i];
-      } else {
-        out.flags_[body] = "";
-      }
+    if (!StartsWith(arg, "--")) continue;
+    std::string body = arg.substr(2);
+    size_t eq = body.find('=');
+    if (eq != std::string::npos) {
+      out.flags_[body.substr(0, eq)] = body.substr(eq + 1);
+    } else if (i + 1 < argc && !StartsWith(argv[i + 1], "--")) {
+      out.flags_[body] = argv[++i];
     } else {
-      out.positional_.push_back(arg);
+      out.flags_[body] = "";
     }
   }
   return out;

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 
@@ -31,7 +30,8 @@ Result<double> ParseDouble(const std::string& text);
 /// \brief Parsed command-line flags.
 class CliFlags {
  public:
-  /// Parse argv; unknown flags are kept (benches decide what to accept).
+  /// Parse argv; unknown flags are kept (benches decide what to accept)
+  /// and non-flag arguments are skipped.
   static CliFlags Parse(int argc, char** argv);
 
   /// True if --name was given (with or without a value).
@@ -50,12 +50,8 @@ class CliFlags {
   /// Double value or fallback; same malformed-value discipline as GetInt.
   double GetDouble(const std::string& name, double fallback) const;
 
-  /// Positional (non-flag) arguments.
-  const std::vector<std::string>& positional() const { return positional_; }
-
  private:
   std::map<std::string, std::string> flags_;
-  std::vector<std::string> positional_;
 };
 
 }  // namespace gralmatch

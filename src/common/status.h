@@ -12,7 +12,9 @@
 
 namespace gralmatch {
 
-/// Error categories used across the library.
+/// Error categories used across the library. The values are wire codes
+/// (net/wire.h carries them in response frames), so every value stays even
+/// where no factory below produces it.
 enum class StatusCode {
   kOk = 0,
   kInvalidArgument,
@@ -45,9 +47,6 @@ class [[nodiscard]] Status {
   static Status NotFound(std::string msg) {
     return Status(StatusCode::kNotFound, std::move(msg));
   }
-  static Status AlreadyExists(std::string msg) {
-    return Status(StatusCode::kAlreadyExists, std::move(msg));
-  }
   static Status OutOfRange(std::string msg) {
     return Status(StatusCode::kOutOfRange, std::move(msg));
   }
@@ -60,9 +59,6 @@ class [[nodiscard]] Status {
   static Status IOErrorFromErrno(std::string msg);
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
-  }
-  static Status NotImplemented(std::string msg) {
-    return Status(StatusCode::kNotImplemented, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

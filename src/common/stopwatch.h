@@ -22,9 +22,6 @@ class Stopwatch {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  /// Elapsed milliseconds.
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
-
   /// Human-readable elapsed time, e.g. "1h 26min", "4.8 min", "31 sec".
   std::string ElapsedHuman() const;
 

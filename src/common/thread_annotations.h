@@ -64,10 +64,6 @@
 #define RELEASE_SHARED(...) \
   GRALMATCH_THREAD_ANNOTATION_ATTRIBUTE(release_shared_capability(__VA_ARGS__))
 
-/// The function acquires the capability iff it returns the given value.
-#define TRY_ACQUIRE(...) \
-  GRALMATCH_THREAD_ANNOTATION_ATTRIBUTE(try_acquire_capability(__VA_ARGS__))
-
 /// The function must be called with the capability NOT held (it will
 /// acquire it itself, or taking it would self-deadlock).
 #define EXCLUDES(...) \

@@ -46,8 +46,6 @@ class UnionFind {
     return true;
   }
 
-  bool Connected(size_t a, size_t b) { return Find(a) == Find(b); }
-
   /// Size of the set containing x.
   size_t SetSize(size_t x) { return size_[Find(x)]; }
 

@@ -1,6 +1,5 @@
 #include "data/record.h"
 
-#include <algorithm>
 #include <limits>
 #include <set>
 
@@ -28,12 +27,6 @@ std::string_view Record::Get(std::string_view name) const {
 
 bool Record::Has(std::string_view name) const { return !Get(name).empty(); }
 
-void Record::Erase(std::string_view name) {
-  attrs_.erase(std::remove_if(attrs_.begin(), attrs_.end(),
-                              [&](const auto& kv) { return kv.first == name; }),
-               attrs_.end());
-}
-
 std::vector<std::string> Record::GetMulti(std::string_view name) const {
   std::vector<std::string> out;
   std::string_view raw = Get(name);
@@ -42,16 +35,6 @@ std::vector<std::string> Record::GetMulti(std::string_view name) const {
     if (!part.empty()) out.push_back(std::move(part));
   }
   return out;
-}
-
-void Record::AddMulti(std::string_view name, std::string_view value) {
-  if (value.empty()) return;
-  auto existing = GetMulti(name);
-  for (const auto& v : existing) {
-    if (v == value) return;
-  }
-  existing.emplace_back(value);
-  Set(name, Join(existing, "|"));
 }
 
 std::string Record::AllText() const {

@@ -56,9 +56,6 @@ class Record {
   /// True if the attribute exists and is non-empty.
   bool Has(std::string_view name) const;
 
-  /// Remove an attribute if present.
-  void Erase(std::string_view name);
-
   /// All attributes in insertion order.
   const std::vector<std::pair<std::string, std::string>>& attributes() const {
     return attrs_;
@@ -66,9 +63,6 @@ class Record {
 
   /// Values of a '|'-joined multi-valued attribute (empty values dropped).
   std::vector<std::string> GetMulti(std::string_view name) const;
-
-  /// Append a value to a '|'-joined multi-valued attribute (deduplicated).
-  void AddMulti(std::string_view name, std::string_view value);
 
   /// Concatenation of all attribute values, space-separated (for TF-IDF /
   /// token statistics).
@@ -97,7 +91,6 @@ class RecordTable {
   RecordId Add(Record record);
 
   const Record& at(RecordId id) const { return records_[static_cast<size_t>(id)]; }
-  Record* mutable_at(RecordId id) { return &records_[static_cast<size_t>(id)]; }
 
   size_t size() const { return records_.size(); }
   bool empty() const { return records_.empty(); }

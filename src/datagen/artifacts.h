@@ -15,18 +15,6 @@
 
 namespace gralmatch {
 
-/// Which artifacts were applied to a group (bitmask, for logging/tests).
-enum ArtifactBit : uint32_t {
-  kArtifactAcronymName = 1u << 0,
-  kArtifactInsertCorporateTerm = 1u << 1,
-  kArtifactAcquisition = 1u << 2,
-  kArtifactMerger = 1u << 3,
-  kArtifactParaphrase = 1u << 4,
-  kArtifactMultipleIds = 1u << 5,
-  kArtifactNoIdOverlaps = 1u << 6,
-  kArtifactMultipleSecurities = 1u << 7,
-};
-
 /// Per-artifact application probabilities (per record group).
 struct ArtifactConfig {
   double p_acronym_name = 0.08;

@@ -197,34 +197,27 @@ FinancialBenchmark FinancialGenerator::Generate() {
   }
 
   // ---- Phase 2: artifacts (sequential random combination, §3.2) ---------
-  artifact_log_.assign(n, 0);
   UnionFind company_merge(n);  // acquisition-driven entity merges
   const ArtifactConfig& a = config_.artifacts;
   for (size_t i = 0; i < n; ++i) {
     GroupDraft& g = groups[i];
     if (rng.Bernoulli(a.p_acronym_name)) {
       ApplyAcronymName(&g, &rng);
-      artifact_log_[i] |= kArtifactAcronymName;
     }
     if (rng.Bernoulli(a.p_insert_corporate_term)) {
       ApplyInsertCorporateTerm(&g, &rng);
-      artifact_log_[i] |= kArtifactInsertCorporateTerm;
     }
     if (rng.Bernoulli(a.p_paraphrase)) {
       ApplyParaphraseAttribute(&g, paraphraser, &rng);
-      artifact_log_[i] |= kArtifactParaphrase;
     }
     if (rng.Bernoulli(a.p_multiple_securities)) {
       ApplyMultipleSecurities(&g, &rng, &next_sec_entity);
-      artifact_log_[i] |= kArtifactMultipleSecurities;
     }
     if (rng.Bernoulli(a.p_multiple_ids)) {
       ApplyMultipleIds(&g, &rng);
-      artifact_log_[i] |= kArtifactMultipleIds;
     }
     if (rng.Bernoulli(a.p_no_id_overlaps)) {
       ApplyNoIdOverlaps(&g);
-      artifact_log_[i] |= kArtifactNoIdOverlaps;
     }
     if (i > 0 && rng.Bernoulli(a.p_acquisition)) {
       size_t j = rng.Uniform(i);  // acquirer: an earlier group
@@ -232,8 +225,6 @@ FinancialBenchmark FinancialGenerator::Generate() {
         ApplyAcquisition(&groups[j], &g, &rng);
         g.counterparty = j;
         company_merge.Union(i, j);
-        artifact_log_[i] |= kArtifactAcquisition;
-        artifact_log_[j] |= kArtifactAcquisition;
       }
     }
     if (i > 0 && rng.Bernoulli(a.p_merger)) {
@@ -242,8 +233,6 @@ FinancialBenchmark FinancialGenerator::Generate() {
           !groups[j].involved_in_merger) {
         ApplyMerger(&g, &groups[j], &rng);
         g.counterparty = j;
-        artifact_log_[i] |= kArtifactMerger;
-        artifact_log_[j] |= kArtifactMerger;
       }
     }
   }

@@ -49,13 +49,8 @@ class FinancialGenerator {
   /// Generate the benchmark. Deterministic given the config seed.
   FinancialBenchmark Generate();
 
-  /// Artifact bitmask (ArtifactBit) applied to each company entity in the
-  /// last Generate() call, indexed by group index.
-  const std::vector<uint32_t>& artifact_log() const { return artifact_log_; }
-
  private:
   SyntheticConfig config_;
-  std::vector<uint32_t> artifact_log_;
 };
 
 /// Configuration of the realistic ("real data" stand-in) subset: mostly

@@ -73,21 +73,6 @@ int SedolCheckDigit(std::string_view payload) {
   return (10 - sum % 10) % 10;
 }
 
-/// ISO 7064 mod 97-10 over the digit expansion (letters -> value 10..35).
-int Mod97(std::string_view s) {
-  long long rem = 0;
-  for (char c : s) {
-    int v = CharValue(c);
-    if (v < 0) return -1;
-    if (v >= 10) {
-      rem = (rem * 100 + v) % 97;
-    } else {
-      rem = (rem * 10 + v) % 97;
-    }
-  }
-  return static_cast<int>(rem);
-}
-
 }  // namespace
 
 std::string GenerateIsin(Rng* rng, std::string_view country) {
@@ -158,24 +143,6 @@ bool IsValidValor(std::string_view valor) {
     if (!std::isdigit(static_cast<unsigned char>(c))) return false;
   }
   return true;
-}
-
-std::string GenerateLei(Rng* rng) {
-  std::string out;
-  // 4-char LOU prefix (digits in practice, alnum allowed).
-  for (int i = 0; i < 4; ++i) out.push_back(kDigits[rng->Uniform(10)]);
-  for (int i = 0; i < 14; ++i) out.push_back(kAlnum[rng->Uniform(36)]);
-  // Check digits: append "00", compute 98 - mod97.
-  int rem = Mod97(out + "00");
-  int check = 98 - rem;
-  out.push_back(static_cast<char>('0' + check / 10));
-  out.push_back(static_cast<char>('0' + check % 10));
-  return out;
-}
-
-bool IsValidLei(std::string_view lei) {
-  if (lei.size() != 20) return false;
-  return Mod97(lei) == 1;
 }
 
 }  // namespace gralmatch

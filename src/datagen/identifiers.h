@@ -2,10 +2,10 @@
 #define GRALMATCH_DATAGEN_IDENTIFIERS_H_
 
 /// \file identifiers.h
-/// Generators and validators for the (inter)national security/entity
-/// identifier standards referenced by the paper: ISIN (ISO 6166), CUSIP,
-/// SEDOL, VALOR and LEI (ISO 17442). Generated identifiers carry correct
-/// check digits so that validator round-trips hold (property-tested).
+/// Generators and validators for the (inter)national security identifier
+/// standards referenced by the paper: ISIN (ISO 6166), CUSIP, SEDOL and
+/// VALOR. Generated identifiers carry correct check digits so that
+/// validator round-trips hold (property-tested).
 
 #include <string>
 #include <string_view>
@@ -37,13 +37,6 @@ std::string GenerateValor(Rng* rng);
 
 /// True iff `valor` is 6-9 digits.
 bool IsValidValor(std::string_view valor);
-
-/// 20-char LEI: 4-char prefix + 14 alphanumerics + 2-digit ISO 7064
-/// mod-97-10 check.
-std::string GenerateLei(Rng* rng);
-
-/// True iff `lei` is structurally valid including its check digits.
-bool IsValidLei(std::string_view lei);
 
 }  // namespace gralmatch
 

@@ -10,8 +10,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <utility>
-#include <vector>
 
 #include "exec/thread_pool.h"
 
@@ -32,18 +30,6 @@ namespace gralmatch {
 /// scheduling overhead for cheap bodies); it never affects results.
 void ParallelFor(ThreadPool* pool, size_t begin, size_t end,
                  const std::function<void(size_t)>& fn, size_t grain = 1);
-
-/// Map `fn` over [0, n) into a vector with deterministic (index) ordering.
-/// T must be default-constructible; same serial/nested semantics as
-/// ParallelFor.
-template <typename T, typename Fn>
-std::vector<T> ParallelMap(ThreadPool* pool, size_t n, Fn&& fn,
-                           size_t grain = 1) {
-  std::vector<T> out(n);
-  ParallelFor(
-      pool, 0, n, [&out, &fn](size_t i) { out[i] = fn(i); }, grain);
-  return out;
-}
 
 }  // namespace gralmatch
 

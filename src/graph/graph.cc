@@ -44,14 +44,6 @@ void Graph::AliveNeighbors(NodeId u,
   }
 }
 
-size_t Graph::AliveDegree(NodeId u) const {
-  size_t d = 0;
-  for (const auto& [nbr, eid] : adjacency_[static_cast<size_t>(u)]) {
-    if (alive_[static_cast<size_t>(eid)]) ++d;
-  }
-  return d;
-}
-
 std::vector<std::vector<NodeId>> Graph::ConnectedComponents() const {
   std::vector<std::vector<NodeId>> components;
   std::vector<bool> visited(adjacency_.size(), false);

@@ -29,9 +29,6 @@ class Graph {
 
   explicit Graph(size_t num_nodes = 0);
 
-  /// Grow the node set to at least n nodes.
-  void EnsureNodes(size_t n);
-
   /// Add an undirected edge; self-loops are rejected with kInvalidArgument.
   Result<EdgeId> AddEdge(NodeId u, NodeId v);
 
@@ -55,9 +52,6 @@ class Graph {
   /// this accessor (it filters).
   void AliveNeighbors(NodeId u, std::vector<std::pair<NodeId, EdgeId>>* out) const;
 
-  /// Degree counting alive edges only.
-  size_t AliveDegree(NodeId u) const;
-
   /// Connected components over alive edges, including singletons.
   /// Deterministic: components ordered by smallest contained node.
   std::vector<std::vector<NodeId>> ConnectedComponents() const;
@@ -69,6 +63,9 @@ class Graph {
   std::vector<EdgeId> EdgesWithin(const std::vector<NodeId>& nodes) const;
 
  private:
+  /// Grow the node set to at least n nodes.
+  void EnsureNodes(size_t n);
+
   std::vector<Edge> edges_;
   std::vector<bool> alive_;
   size_t alive_count_ = 0;

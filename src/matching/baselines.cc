@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "blocking/id_overlap.h"
+#include "common/binary_io.h"
 #include "common/rng.h"
 #include "text/corporate.h"
 #include "text/normalize.h"
@@ -97,19 +98,17 @@ double TfidfLogRegMatcher::MatchProbability(const Record& a,
 }
 
 std::string TfidfLogRegMatcher::Fingerprint() const {
-  // FNV-1a over the learned weight bytes: any retraining that changes a
-  // single weight bit changes the fingerprint.
-  uint64_t hash = 1469598103934665603ull;
+  // FNV-1a over the learned weights' little-endian bit patterns: any
+  // retraining that changes a single weight bit changes the fingerprint.
+  BinaryWriter bytes;
   for (float w : weights_) {
     uint32_t bits;
     static_assert(sizeof(bits) == sizeof(w), "float is 32-bit");
     std::memcpy(&bits, &w, sizeof(bits));
-    for (int shift = 0; shift < 32; shift += 8) {
-      hash ^= (bits >> shift) & 0xffu;
-      hash *= 1099511628211ull;
-    }
+    bytes.WriteU32(bits);
   }
-  return name() + "#" + std::to_string(hash);
+  return name() + "#" +
+         std::to_string(Fnv1a64(bytes.buffer(), kFnv1a64ShortOffset));
 }
 
 }  // namespace gralmatch

@@ -74,10 +74,6 @@ class CascadeMatcher : public PairwiseMatcher {
     return Stats{gate_resolved_.load(std::memory_order_relaxed),
                  escalated_.load(std::memory_order_relaxed)};
   }
-  void ResetStats() const {
-    gate_resolved_.store(0, std::memory_order_relaxed);
-    escalated_.store(0, std::memory_order_relaxed);
-  }
 
   const Options& options() const { return options_; }
 

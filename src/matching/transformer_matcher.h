@@ -78,10 +78,8 @@ class TransformerMatcher : public PairwiseMatcher {
   /// Restore a matcher saved with Save(). The config must match.
   Status Load(const std::string& dir);
 
-  bool ready() const { return model_ != nullptr; }
   const TransformerMatcherConfig& config() const { return config_; }
   const SubwordVocab& vocab() const { return vocab_; }
-  const PairSerializer& serializer() const { return *serializer_; }
 
  private:
   TransformerMatcherConfig config_;

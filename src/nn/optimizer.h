@@ -47,9 +47,6 @@ class AdamOptimizer {
   /// Apply one update to every parameter and zero the gradients.
   void Step(const std::vector<Parameter*>& params);
 
-  /// Number of updates applied so far.
-  int64_t step_count() const { return t_; }
-
   Options* mutable_options() { return &options_; }
 
  private:

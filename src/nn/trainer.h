@@ -35,10 +35,6 @@ struct BinaryMetrics {
     double p = Precision(), r = Recall();
     return p + r == 0.0 ? 0.0 : 2.0 * p * r / (p + r);
   }
-  double Accuracy() const {
-    int64_t n = tp + fp + fn + tn;
-    return n == 0 ? 0.0 : double(tp + tn) / double(n);
-  }
 };
 
 /// Per-epoch training statistics.

@@ -313,13 +313,6 @@ std::vector<Parameter*> TransformerClassifier::parameters() {
   return out;
 }
 
-size_t TransformerClassifier::NumParameters() const {
-  size_t total = 0;
-  auto* self = const_cast<TransformerClassifier*>(this);
-  for (Parameter* p : self->parameters()) total += p->size();
-  return total;
-}
-
 std::vector<float> TransformerClassifier::ForwardImpl(
     const EncodedSequence& input, ForwardCache* cache) const {
   const std::vector<int32_t>& tokens = input.tokens;

@@ -111,9 +111,6 @@ class TransformerClassifier {
 
   const TransformerConfig& config() const { return config_; }
 
-  /// Total number of trainable scalars.
-  size_t NumParameters() const;
-
   /// Serialize weights to a binary file.
   Status Save(const std::string& path) const;
 

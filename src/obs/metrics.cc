@@ -135,13 +135,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   return snapshot;
 }
 
-MetricsRegistry* MetricsRegistry::Default() {
-  // Leaked on purpose: instrument pointers handed out by the default
-  // registry must outlive every thread that might still increment them.
-  static MetricsRegistry* const instance = new MetricsRegistry();
-  return instance;
-}
-
 double SampleQuantile(std::vector<double> samples, double q) {
   if (samples.empty()) return 0.0;
   std::sort(samples.begin(), samples.end());

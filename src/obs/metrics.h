@@ -151,10 +151,6 @@ class MetricsRegistry {
   /// Scrape every instrument, sorted by name within each kind.
   MetricsSnapshot Snapshot() const;
 
-  /// The process-wide default registry, created lazily on first call —
-  /// a process that never scrapes or wires metrics never constructs it.
-  static MetricsRegistry* Default();
-
  private:
   template <typename T>
   struct Named {

@@ -1,47 +1,29 @@
 #include "shard/shard_router.h"
 
-#include <string_view>
+#include "common/binary_io.h"
 
 namespace gralmatch {
-
-namespace {
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-void Absorb(std::string_view bytes, uint64_t* h) {
-  for (const char c : bytes) {
-    *h ^= static_cast<uint8_t>(c);
-    *h *= kFnvPrime;
-  }
-}
-
-void AbsorbByte(uint8_t byte, uint64_t* h) {
-  *h ^= byte;
-  *h *= kFnvPrime;
-}
-
-}  // namespace
 
 ShardRouter::ShardRouter(size_t num_shards, uint64_t seed)
     : num_shards_(num_shards == 0 ? 1 : num_shards), seed_(seed) {}
 
 uint64_t ShardRouter::KeyOf(const Record& record) const {
-  uint64_t h = kFnvOffset;
-  for (int shift = 0; shift < 64; shift += 8) {
-    AbsorbByte(static_cast<uint8_t>(seed_ >> shift), &h);
-  }
+  // Seed and source (little-endian) and kind, then each routed attribute as
+  // name 0x1F value 0x1E; the separators keep ("ab","c") and ("a","bc")
+  // distinct.
+  BinaryWriter head;
+  head.WriteU64(seed_);
   const uint16_t source = static_cast<uint16_t>(record.source());
-  AbsorbByte(static_cast<uint8_t>(source), &h);
-  AbsorbByte(static_cast<uint8_t>(source >> 8), &h);
-  AbsorbByte(static_cast<uint8_t>(record.kind()), &h);
+  head.WriteU8(static_cast<uint8_t>(source));
+  head.WriteU8(static_cast<uint8_t>(source >> 8));
+  head.WriteU8(static_cast<uint8_t>(record.kind()));
+  uint64_t h = Fnv1a64(head.buffer(), kFnv1a64ShortOffset);
   for (const auto& [name, value] : record.attributes()) {
     if (!name.empty() && name.front() == '_') continue;  // metadata
-    // 0x1F/0x1E separators keep ("ab","c") and ("a","bc") distinct.
-    Absorb(name, &h);
-    AbsorbByte(0x1F, &h);
-    Absorb(value, &h);
-    AbsorbByte(0x1E, &h);
+    h = Fnv1a64(name, h);
+    h = Fnv1a64("\x1f", h);
+    h = Fnv1a64(value, h);
+    h = Fnv1a64("\x1e", h);
   }
   return h;
 }

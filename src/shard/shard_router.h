@@ -31,7 +31,8 @@ class ShardRouter {
   size_t num_shards() const { return num_shards_; }
   uint64_t seed() const { return seed_; }
 
-  /// Seeded FNV-1a 64 digest of the record's routing content.
+  /// Seeded FNV-1a 64 digest of the record's routing content, started at
+  /// kFnv1a64ShortOffset (common/binary_io.h says why it must stay).
   uint64_t KeyOf(const Record& record) const;
 
   /// Shard this record belongs to, in [0, num_shards).

@@ -114,7 +114,6 @@ class ShardedPipeline {
     engine_.set_metrics(metrics);
   }
 
-  const ShardRouter& router() const { return router_; }
   size_t num_shards() const { return router_.num_shards(); }
 
   /// Records (live or tombstoned) routed to `shard`.

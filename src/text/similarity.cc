@@ -6,6 +6,17 @@
 #include "text/normalize.h"
 
 namespace gralmatch {
+namespace {
+
+/// Contiguous, overlapping character trigrams of `s` (none when s is
+/// shorter than three characters).
+std::vector<std::string> Trigrams(std::string_view s) {
+  std::vector<std::string> out;
+  for (size_t i = 0; i + 3 <= s.size(); ++i) out.emplace_back(s.substr(i, 3));
+  return out;
+}
+
+}  // namespace
 
 size_t Levenshtein(std::string_view a, std::string_view b) {
   if (a.size() > b.size()) std::swap(a, b);
@@ -20,12 +31,6 @@ size_t Levenshtein(std::string_view a, std::string_view b) {
     std::swap(prev, cur);
   }
   return prev[a.size()];
-}
-
-double LevenshteinSimilarity(std::string_view a, std::string_view b) {
-  size_t m = std::max(a.size(), b.size());
-  if (m == 0) return 1.0;
-  return 1.0 - static_cast<double>(Levenshtein(a, b)) / static_cast<double>(m);
 }
 
 double Jaro(std::string_view a, std::string_view b) {
@@ -89,19 +94,9 @@ size_t TokenOverlapCount(const std::vector<std::string>& a,
   return inter;
 }
 
-std::vector<std::string> CharNgrams(std::string_view s, size_t n) {
-  std::vector<std::string> out;
-  if (n == 0 || s.size() < n) return out;
-  out.reserve(s.size() - n + 1);
-  for (size_t i = 0; i + n <= s.size(); ++i) {
-    out.emplace_back(s.substr(i, n));
-  }
-  return out;
-}
-
 double TrigramSimilarity(std::string_view a, std::string_view b) {
   std::string na = NormalizeText(a), nb = NormalizeText(b);
-  auto ga = CharNgrams(na, 3), gb = CharNgrams(nb, 3);
+  auto ga = Trigrams(na), gb = Trigrams(nb);
   if (ga.empty() && gb.empty()) return na == nb ? 1.0 : 0.0;
   return JaccardTokens(ga, gb);
 }

@@ -14,10 +14,6 @@ namespace gralmatch {
 /// Levenshtein edit distance (insert/delete/substitute, unit costs).
 size_t Levenshtein(std::string_view a, std::string_view b);
 
-/// Normalized Levenshtein similarity in [0, 1]: 1 - dist / max(|a|, |b|).
-/// Both strings empty yields 1.
-double LevenshteinSimilarity(std::string_view a, std::string_view b);
-
 /// Jaro similarity in [0, 1].
 double Jaro(std::string_view a, std::string_view b);
 
@@ -31,9 +27,6 @@ double JaccardTokens(const std::vector<std::string>& a,
 /// Number of distinct tokens present in both a and b.
 size_t TokenOverlapCount(const std::vector<std::string>& a,
                          const std::vector<std::string>& b);
-
-/// Character n-grams of a string (contiguous, overlapping). n must be >= 1.
-std::vector<std::string> CharNgrams(std::string_view s, size_t n);
 
 /// Jaccard similarity of char trigram sets (with normalization applied first).
 double TrigramSimilarity(std::string_view a, std::string_view b);

@@ -37,11 +37,6 @@ class TfidfVectorizer {
   /// Vectorize a document (L2-normalized).
   SparseVector Transform(std::string_view doc) const;
 
-  /// Number of features.
-  size_t num_features() const { return idf_.size(); }
-
-  bool fitted() const { return !idf_.empty(); }
-
  private:
   std::unordered_map<std::string, int32_t> feature_ids_;
   std::vector<float> idf_;

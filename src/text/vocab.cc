@@ -91,11 +91,6 @@ std::vector<int32_t> SubwordVocab::EncodeText(std::string_view text) const {
   return out;
 }
 
-int32_t SubwordVocab::WordId(std::string_view word) const {
-  auto it = token_to_id_.find(std::string(word));
-  return it == token_to_id_.end() ? SpecialTokens::kUnk : it->second;
-}
-
 Status SubwordVocab::Save(const std::string& path) const {
   std::ofstream file(path, std::ios::binary);
   if (!file) return Status::IOError("cannot open for writing: " + path);

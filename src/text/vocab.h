@@ -50,9 +50,6 @@ class SubwordVocab {
   /// Encode free text: normalize, tokenize, subword-encode each word.
   std::vector<int32_t> EncodeText(std::string_view text) const;
 
-  /// Id for a column-name token (whole-word lookup only, else kUnk).
-  int32_t WordId(std::string_view word) const;
-
   /// Total number of token ids (including specials).
   int32_t size() const { return next_id_; }
 

@@ -28,7 +28,6 @@ namespace {
 
 // Two K5 cliques joined by one false edge.
 void BuildTwoCliques(Graph* g, EdgeId* bridge) {
-  g->EnsureNodes(10);
   for (int a = 0; a < 5; ++a) {
     for (int b = a + 1; b < 5; ++b) {
       g->AddEdge(a, b).ValueOrDie();

@@ -27,20 +27,9 @@ TEST(RecordTest, SetGetOverwriteKeepsPosition) {
   EXPECT_FALSE(rec.Has("missing"));
 }
 
-TEST(RecordTest, EraseRemovesAttribute) {
-  Record rec(0, RecordKind::kSecurity);
-  rec.Set("isin", "X");
-  rec.Erase("isin");
-  EXPECT_FALSE(rec.Has("isin"));
-  rec.Erase("isin");  // idempotent
-}
-
 TEST(RecordTest, MultiValuedAttributes) {
   Record rec(0, RecordKind::kSecurity);
-  rec.AddMulti("isin", "US1");
-  rec.AddMulti("isin", "US2");
-  rec.AddMulti("isin", "US1");  // duplicate ignored
-  rec.AddMulti("isin", "");     // empty ignored
+  rec.Set("isin", "US1||US2|");  // empty values dropped
   EXPECT_EQ(rec.GetMulti("isin"), (std::vector<std::string>{"US1", "US2"}));
   EXPECT_TRUE(rec.GetMulti("cusip").empty());
 }
@@ -64,8 +53,7 @@ TEST(RecordTableTest, AddAndSourceCount) {
   EXPECT_EQ(b, 1);
   EXPECT_EQ(table.size(), 3u);
   EXPECT_EQ(table.NumSources(), 2u);
-  table.mutable_at(a)->Set("name", "X");
-  EXPECT_EQ(table.at(a).Get("name"), "X");
+  EXPECT_EQ(table.at(b).source(), 2);
 }
 
 GroundTruth MakeTruth() {

@@ -331,17 +331,6 @@ TEST(FinancialGenTest, NoIdOverlapGroupsHaveDistinctIds) {
   }
 }
 
-TEST(FinancialGenTest, ArtifactLogPopulated) {
-  SyntheticConfig config = SmallConfig(37);
-  FinancialGenerator gen(config);
-  gen.Generate();
-  const auto& log = gen.artifact_log();
-  ASSERT_EQ(log.size(), config.num_groups);
-  size_t with_any = 0;
-  for (uint32_t bits : log) with_any += bits != 0;
-  EXPECT_GT(with_any, config.num_groups / 4);
-}
-
 TEST(FinancialGenTest, RealisticSubsetIsEasier) {
   SyntheticConfig real_config = RealisticSubsetConfig(41, 300);
   EXPECT_EQ(real_config.num_sources, 8);

@@ -228,20 +228,6 @@ TEST(ParallelForTest, ZeroWorkerPoolRequestTreatedAsOne) {
   EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4, 5}));
 }
 
-TEST(ParallelMapTest, RangeSmallerThanThreadCount) {
-  ThreadPool pool(8);
-  auto out =
-      ParallelMap<size_t>(&pool, 3, [](size_t i) { return i * 10; });
-  EXPECT_EQ(out, (std::vector<size_t>{0, 10, 20}));
-}
-
-TEST(ParallelMapTest, ZeroWorkerPoolRequest) {
-  ThreadPool pool(0);
-  auto out = ParallelMap<int>(&pool, 4,
-                              [](size_t i) { return static_cast<int>(i) - 2; });
-  EXPECT_EQ(out, (std::vector<int>{-2, -1, 0, 1}));
-}
-
 // ---------------------------------------------------------------------------
 // Exception propagation.
 // ---------------------------------------------------------------------------
@@ -309,40 +295,6 @@ TEST(ParallelForTest, NestedParallelForDoesNotDeadlock) {
       }
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// ParallelMap ordering.
-// ---------------------------------------------------------------------------
-
-TEST(ParallelMapTest, PreservesIndexOrdering) {
-  for (size_t threads : {1u, 2u, 8u}) {
-    ThreadPool pool(threads);
-    auto out = ParallelMap<long>(
-        &pool, 501, [](size_t i) { return static_cast<long>(i) * 3 + 1; });
-    ASSERT_EQ(out.size(), 501u);
-    for (size_t i = 0; i < out.size(); ++i) {
-      ASSERT_EQ(out[i], static_cast<long>(i) * 3 + 1);
-    }
-  }
-}
-
-TEST(ParallelMapTest, NonTrivialElementType) {
-  ThreadPool pool(4);
-  auto out = ParallelMap<std::string>(
-      &pool, 64, [](size_t i) { return "item-" + std::to_string(i); });
-  for (size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i], "item-" + std::to_string(i));
-  }
-}
-
-TEST(ParallelMapTest, EmptyAndNullPool) {
-  ThreadPool pool(4);
-  EXPECT_TRUE((ParallelMap<int>(&pool, 0, [](size_t) { return 1; }).empty()));
-  auto serial = ParallelMap<int>(nullptr, 5, [](size_t i) {
-    return static_cast<int>(i);
-  });
-  EXPECT_EQ(serial, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 // ---------------------------------------------------------------------------

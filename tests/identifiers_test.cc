@@ -47,15 +47,6 @@ TEST_P(IdentifierSeedTest, GeneratedValorsValidate) {
   }
 }
 
-TEST_P(IdentifierSeedTest, GeneratedLeisValidate) {
-  Rng rng(GetParam() ^ 4);
-  for (int i = 0; i < 100; ++i) {
-    std::string lei = GenerateLei(&rng);
-    EXPECT_TRUE(IsValidLei(lei)) << lei;
-    EXPECT_EQ(lei.size(), 20u);
-  }
-}
-
 // Mutating one digit of an identifier must break the check digit (always,
 // for the numeric mutations tested here).
 TEST_P(IdentifierSeedTest, IsinDigitMutationDetected) {
@@ -69,20 +60,6 @@ TEST_P(IdentifierSeedTest, IsinDigitMutationDetected) {
     if (mutated == original) continue;
     isin[pos] = mutated;
     EXPECT_FALSE(IsValidIsin(isin)) << isin;
-  }
-}
-
-TEST_P(IdentifierSeedTest, LeiMutationDetected) {
-  Rng rng(GetParam() ^ 6);
-  for (int i = 0; i < 100; ++i) {
-    std::string lei = GenerateLei(&rng);
-    size_t pos = rng.Uniform(18);
-    char original = lei[pos];
-    if (original < '0' || original > '9') continue;
-    char mutated = static_cast<char>('0' + (original - '0' + 1 + rng.Uniform(8)) % 10);
-    if (mutated == original) continue;
-    lei[pos] = mutated;
-    EXPECT_FALSE(IsValidLei(lei)) << lei;
   }
 }
 

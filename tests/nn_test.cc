@@ -337,7 +337,6 @@ TEST(AdamTest, MinimizesQuadratic) {
   for (size_t i = 0; i < 4; ++i) {
     EXPECT_NEAR(p.value.data()[i], target[i], 1e-2f);
   }
-  EXPECT_EQ(adam.step_count(), 500);
 }
 
 TEST(AdamTest, GradientClippingBoundsUpdate) {
@@ -522,9 +521,10 @@ TEST(TransformerTest, LearnsSeparableTask) {
   opts.lr = 3e-3f;
   Trainer trainer(opts);
   TrainResult result = trainer.Fit(&model, train, val);
-  EpochStats final_stats = Trainer::Evaluate(model, val);
-  EXPECT_GT(final_stats.val_metrics.Accuracy(), 0.93)
-      << "best epoch " << result.best_epoch;
+  const BinaryMetrics m = Trainer::Evaluate(model, val).val_metrics;
+  const double accuracy = static_cast<double>(m.tp + m.tn) /
+                          static_cast<double>(m.tp + m.fp + m.fn + m.tn);
+  EXPECT_GT(accuracy, 0.93) << "best epoch " << result.best_epoch;
 }
 
 TEST(TransformerTest, SaveLoadRoundTrip) {
@@ -555,13 +555,6 @@ TEST(TransformerTest, LoadRejectsConfigMismatch) {
   other.num_heads = 4;
   TransformerClassifier wrong(other);
   EXPECT_FALSE(wrong.Load(path).ok());
-}
-
-TEST(TransformerTest, NumParametersPositiveAndStable) {
-  TransformerClassifier model(TinyConfig());
-  size_t n = model.NumParameters();
-  EXPECT_GT(n, 100u);
-  EXPECT_EQ(n, model.NumParameters());
 }
 
 TEST(TrainerTest, EvaluateConfusionCounts) {

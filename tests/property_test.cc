@@ -21,7 +21,6 @@
 #include "datagen/identifiers.h"
 #include "datagen/wdc_gen.h"
 #include "eval/metrics.h"
-#include "eval/pr_curve.h"
 #include "exec/thread_pool.h"
 #include "matching/baselines.h"
 #include "matching/cascade_matcher.h"
@@ -802,33 +801,6 @@ TEST_P(MetricsPropertyTest, GroupPrfMatchesMaterializedClosure) {
   EXPECT_EQ(analytic.fn, materialized.fn);
 }
 
-TEST_P(MetricsPropertyTest, PrCurveIsMonotoneInPredictions) {
-  Rng rng(GetParam() ^ 0x99);
-  GroundTruth truth;
-  for (RecordId r = 0; r < 30; ++r) truth.Assign(r, r / 3);
-  std::vector<ScoredPair> scored;
-  for (RecordId a = 0; a < 30; ++a) {
-    for (RecordId b = a + 1; b < 30; ++b) {
-      double base = truth.IsMatch(a, b) ? 0.7 : 0.3;
-      scored.push_back({RecordPair(a, b), base + rng.UniformDouble(-0.3, 0.3)});
-    }
-  }
-  std::vector<double> thresholds = {0.0, 0.2, 0.4, 0.6, 0.8, 1.01};
-  auto curve = PrecisionRecallCurve(scored, truth, thresholds);
-  ASSERT_EQ(curve.size(), thresholds.size());
-  // Raising the threshold never increases tp or fp.
-  for (size_t i = 1; i < curve.size(); ++i) {
-    EXPECT_LE(curve[i].tp, curve[i - 1].tp);
-    EXPECT_LE(curve[i].fp, curve[i - 1].fp);
-  }
-  // Threshold 0 accepts everything; > 1 accepts nothing.
-  EXPECT_EQ(curve.front().tp + curve.front().fn, truth.NumTrueMatches());
-  EXPECT_EQ(curve.back().tp, 0u);
-  ThresholdPoint best = BestF1Point(curve);
-  EXPECT_GE(best.F1(), curve.front().F1());
-  EXPECT_GE(best.F1(), curve.back().F1());
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, MetricsPropertyTest,
                          ::testing::Values(11u, 222u, 3333u, 44444u));
 
@@ -866,7 +838,7 @@ TEST_P(UnionFindPropertyTest, MatchesReferencePartitionUnderRandomUnions) {
     // reference connectivity at every step.
     const size_t c = rng.Uniform(n);
     const size_t d = rng.Uniform(n);
-    EXPECT_EQ(uf.Connected(c, d), label[c] == label[d]);
+    EXPECT_EQ(uf.Find(c) == uf.Find(d), label[c] == label[d]);
   }
 
   // Final partition agrees element-for-element.
@@ -874,7 +846,7 @@ TEST_P(UnionFindPropertyTest, MatchesReferencePartitionUnderRandomUnions) {
   EXPECT_EQ(uf.num_sets(), labels.size());
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = i + 1; j < i + 5 && j < n; ++j) {
-      EXPECT_EQ(uf.Connected(i, j), label[i] == label[j]);
+      EXPECT_EQ(uf.Find(i) == uf.Find(j), label[i] == label[j]);
     }
     // Set sizes match the reference counts.
     size_t count = 0;
@@ -921,7 +893,8 @@ TEST_P(UnionFindPropertyTest, UnionsAreIdempotentAndFindsAreStable) {
   EXPECT_EQ(reversed.num_sets(), uf.num_sets());
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = i + 1; j < i + 6 && j < n; ++j) {
-      EXPECT_EQ(reversed.Connected(i, j), uf.Connected(i, j));
+      EXPECT_EQ(reversed.Find(i) == reversed.Find(j),
+                uf.Find(i) == uf.Find(j));
     }
   }
 }
@@ -938,7 +911,7 @@ TEST(UnionFindTest, ResetRestoresSingletons) {
     EXPECT_EQ(uf.Find(i), i);
     EXPECT_EQ(uf.SetSize(i), 1u);
   }
-  EXPECT_FALSE(uf.Connected(0, 1));
+  EXPECT_NE(uf.Find(0), uf.Find(1));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, UnionFindPropertyTest,

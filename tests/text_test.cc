@@ -40,12 +40,6 @@ TEST(SimilarityTest, LevenshteinKnownValues) {
   EXPECT_EQ(Levenshtein("crowdstrike", "crowdstreet"), 3u);
 }
 
-TEST(SimilarityTest, LevenshteinSimilarityNormalized) {
-  EXPECT_DOUBLE_EQ(LevenshteinSimilarity("", ""), 1.0);
-  EXPECT_DOUBLE_EQ(LevenshteinSimilarity("abc", "abc"), 1.0);
-  EXPECT_NEAR(LevenshteinSimilarity("abcd", "abce"), 0.75, 1e-9);
-}
-
 TEST(SimilarityTest, JaroEmptyAndSingleCharEdgeCases) {
   // Empty-vs-empty is a perfect match by convention; empty-vs-nonempty has
   // no matching characters at all.
@@ -126,9 +120,14 @@ TEST(SimilarityTest, TokenOverlapCount) {
 }
 
 TEST(SimilarityTest, CharNgrams) {
-  EXPECT_EQ(CharNgrams("abcd", 3), (std::vector<std::string>{"abc", "bcd"}));
-  EXPECT_TRUE(CharNgrams("ab", 3).empty());
-  EXPECT_TRUE(CharNgrams("abc", 0).empty());
+  // The character n-grams are file-local to similarity.cc; they are seen
+  // through TrigramSimilarity. Trigrams are contiguous and overlapping:
+  // {abc, bcd} vs {bcd, cde}.
+  EXPECT_DOUBLE_EQ(TrigramSimilarity("abcd", "bcde"), 1.0 / 3.0);
+  // Strings shorter than three characters have no trigrams: they match
+  // only when equal, and never a string that has trigrams.
+  EXPECT_DOUBLE_EQ(TrigramSimilarity("ab", "cd"), 0.0);
+  EXPECT_DOUBLE_EQ(TrigramSimilarity("ab", "abc"), 0.0);
 }
 
 TEST(SimilarityTest, TrigramSimilarityOrdersPairsSensibly) {
@@ -229,7 +228,8 @@ TEST(TfidfTest, RareTokensWeighMore) {
 TEST(TfidfTest, MinDfFiltersHapaxes) {
   TfidfVectorizer tfidf;
   tfidf.Fit({"a b", "a c", "a d"}, /*min_df=*/2);
-  EXPECT_EQ(tfidf.num_features(), 1u);  // only "a" survives
+  // Only "a" survives as a feature.
+  EXPECT_EQ(tfidf.Transform("a b c d").entries.size(), 1u);
 }
 
 TEST(CorporateTest, TermDetection) {

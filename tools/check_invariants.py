@@ -38,8 +38,8 @@ Rules (each finding is printed as `file:line: [rule] message`):
                    not run — or run but not built — is a silent CI hole).
 
   tsan-coverage    Every test suite that exercises concurrency (mentions
-                   ThreadPool / ParallelFor / ParallelMap / std::thread /
-                   std::atomic / num_threads) must be in the TSan leg.
+                   ThreadPool / ParallelFor / std::thread / std::atomic /
+                   num_threads) must be in the TSan leg.
 
   module-dag       #includes across src/ modules must follow the
                    documented module DAG (docs/architecture.md, mirrored in
@@ -73,6 +73,14 @@ Rules (each finding is printed as `file:line: [rule] message`):
                    -ffast-math back on: a fused multiply-add rounds once
                    and would change the nn kernels' bits on any -march
                    with FMA (docs/matchers.md "Kernel dispatch").
+
+  dead-surface     Every function a src/**/*.h header declares has a caller
+                   in src/, examples/, bench/ or e2ebench/ besides its own
+                   declaration and definition, or sits on
+                   DEAD_SURFACE_ALLOWLIST with its reason: a function only
+                   its unit test calls is surface no program needs. Callers
+                   are matched by name, so an overload or a same-named
+                   function elsewhere counts as a caller.
 """
 
 import argparse
@@ -152,10 +160,52 @@ FP_UNSAFE_RE = re.compile(r"-ffp-contract=(?!off\b)\w+|-ffast-math\b")
 
 OBS_SYMBOL_RE = re.compile(r'#include\s+"obs/|\bobs::|\bMetricsRegistry\b')
 
+#: Header functions no program calls that stay anyway, each with the reason.
+#: Keys are `Class::name` for members and `name` for free functions.
+DEAD_SURFACE_ALLOWLIST = {
+    "IsValidIsin": "check-digit oracle for the generated identifiers",
+    "IsValidCusip": "check-digit oracle for the generated identifiers",
+    "IsValidSedol": "check-digit oracle for the generated identifiers",
+    "IsValidValor": "format oracle for the generated identifiers",
+    "TokenOverlapCount":
+        "datagen tests measure paraphrase and title overlap with it",
+    "SubwordVocab::TokenText":
+        "vocab tests read the token behind an id through it",
+    "UnionFind::num_sets":
+        "property tests check the set count against a reference partition",
+    "Graph::num_edges_alive":
+        "cleanup tests count the edges a cut leaves alive",
+    "NetServer::active_connections":
+        "net tests wait on it until a closed connection's slot is reaped",
+    "ShardFilePaths":
+        "corruption tests find shard files, whose names embed checksums",
+}
+
+LITERAL_OR_COMMENT_RE = re.compile(
+    r"//[^\n]*|/\*.*?\*/|\"(?:\\.|[^\"\\\n])*\"|'(?:\\.|[^'\\\n])*'", re.S)
+DIRECTIVE_RE = re.compile(r"^[ \t]*#[ \t]*(?!define\b)\w+[^\n]*", re.M)
+CODE_TOKEN_RE = re.compile(r"[A-Za-z_]\w*|[;{}()]")
+QUALIFIER_TAIL_RE = re.compile(r"(?:\b\w+\s*::\s*)+$")
+#: A prefix ending in a return type: a name, a closing template or
+#: attribute bracket, or a pointer/reference sigil glued to one (`T* F(`).
+RETURN_TYPE_TAIL_RE = re.compile(r"(?:\w|(?<!-)>|\]|[\w>][*&]+)\s*$")
+NOT_A_DECL_WORD_RE = re.compile(
+    r"\b(?:return|throw|else|case|new|delete|goto|do|co_return|co_yield|"
+    r"co_await|sizeof)\b")
+CLASS_HEAD_RE = re.compile(r"^\s*(?:template\s*<[^{]*?>\s*)?"
+                           r"(?:class|struct|union|enum)\b")
+CPP_KEYWORDS = frozenset("""
+    _Pragma alignas alignof asm auto bool char const constexpr decltype
+    double else explicit float for if int long noexcept operator requires
+    return short signed sizeof static_assert switch typeid unsigned void
+    volatile while
+    """.split())
+
+
 #: A test suite mentioning any of these exercises concurrency and must run
 #: under TSan (calibrated against the tree; see tsan-coverage above).
 CONCURRENCY_MARKERS = re.compile(
-    r"ThreadPool|ParallelFor|ParallelMap|std::thread|std::atomic|num_threads")
+    r"ThreadPool|ParallelFor|std::thread|std::atomic|num_threads")
 
 INCLUDE_RE = re.compile(r'^\s*#include\s+"([^"]+)"')
 SOCKADDR_CAST_RE = re.compile(r"reinterpret_cast<(?:const\s+)?sockaddr\s*\*>")
@@ -439,6 +489,99 @@ def check_fp_contract(repo_root):
     return errors
 
 
+
+def code_of(text):
+    """C++ text with comments, string/char literals and non-#define
+    directives blanked; newlines are kept so offsets map to lines."""
+    def blank(m):
+        return re.sub(r"[^\n]", " ", m.group(0))
+    return DIRECTIVE_RE.sub(";", LITERAL_OR_COMMENT_RE.sub(blank, text))
+
+
+def is_declarator(prefix):
+    """True when `prefix` (the statement text before a name that is followed
+    by `(`) makes the name a function being declared or defined rather than
+    called: a bare return type with balanced brackets and no assignment."""
+    prefix = QUALIFIER_TAIL_RE.sub("", prefix)
+    if not RETURN_TYPE_TAIL_RE.search(prefix):
+        return False
+    if NOT_A_DECL_WORD_RE.search(prefix) or "=" in prefix:
+        return False
+    angles = prefix.replace("->", "")
+    return (prefix.count("(") == prefix.count(")") and
+            angles.count("<") == angles.count(">"))
+
+
+def scan_functions(code):
+    """Walk one file's code. Yields (name, offset, declared, enclosing)
+    for every identifier: `declared` is True where it names a function
+    being declared or defined, and `enclosing` is the class whose body the
+    declaration sits in directly ("" at namespace scope, None inside a
+    function body or parentheses — not a declaration of the file's
+    surface)."""
+    boundary, parens = 0, 0
+    scopes = []  # (kind, class name) per open brace
+    for m in CODE_TOKEN_RE.finditer(code):
+        tok = m.group(0)
+        if tok == "(":
+            parens += 1
+        elif tok == ")":
+            parens = max(parens - 1, 0)
+        elif tok in ";{}":
+            if tok == "{":
+                head = code[boundary:m.start()]
+                if re.search(r"\b(?:namespace|extern)\b", head):
+                    scopes.append(("ns", ""))
+                elif CLASS_HEAD_RE.match(head):
+                    base = re.split(r"(?<!:):(?!:)", head)[0]
+                    names = [n for n in re.findall(r"\w+", base)
+                             if n != "final"]
+                    scopes.append(("class", names[-1] if names else ""))
+                else:
+                    scopes.append(("body", ""))
+            elif tok == "}" and scopes:
+                scopes.pop()
+            boundary, parens = m.end(), 0
+        else:
+            rest = code[m.end():m.end() + 64].lstrip()
+            declared = (rest.startswith("(") and
+                        is_declarator(code[boundary:m.start()]))
+            enclosing = None
+            if parens == 0 and all(k != "body" for k, _ in scopes):
+                enclosing = scopes[-1][1] if scopes and \
+                    scopes[-1][0] == "class" else ""
+            yield tok, m.start(), declared, enclosing
+
+
+def check_dead_surface(repo_root):
+    """Every function a src/ header declares has a caller outside tests/."""
+    root = pathlib.Path(repo_root)
+    used = set()
+    declared = []  # (relpath, line, qualified name, name)
+    for path in repo_files.program_files(root):
+        code = code_of(path.read_text(encoding="utf-8"))
+        relpath = rel(path, root)
+        is_header = relpath.startswith("src/") and path.suffix == ".h"
+        for name, offset, is_decl, enclosing in scan_functions(code):
+            if not is_decl:
+                used.add(name)
+            elif is_header and enclosing is not None and \
+                    name != enclosing and name not in CPP_KEYWORDS and \
+                    not re.fullmatch(r"[A-Z0-9_]+", name):
+                qualified = f"{enclosing}::{name}" if enclosing else name
+                declared.append((relpath, code.count("\n", 0, offset) + 1,
+                                 qualified, name))
+    errors = []
+    for relpath, lineno, qualified, name in declared:
+        if name in used or qualified in DEAD_SURFACE_ALLOWLIST:
+            continue
+        errors.append(
+            f"{relpath}:{lineno}: [dead-surface] {qualified} has no caller "
+            "in src/, examples/, bench/ or e2ebench/ — delete it, or "
+            "allowlist it with its reason in DEAD_SURFACE_ALLOWLIST")
+    return errors
+
+
 ALL_RULES = (
     check_framed_bytes,
     check_tmp_staging,
@@ -449,6 +592,7 @@ ALL_RULES = (
     check_raw_mutex,
     check_pair_decode,
     check_fp_contract,
+    check_dead_surface,
 )
 
 

@@ -130,6 +130,42 @@ class FixtureTreeTest(unittest.TestCase):
 
         write(root, ".github/workflows/ci.yml", FIXTURE_CI)
 
+        # dead-surface: OnlyTestsCall (line 4) and Widget::TestOnly
+        # (line 10) have callers only in tests/ — their definitions in
+        # surface.cc must not count. IsValidIsin is allowlisted; an
+        # example calls ExampleCalls and Widget::size; constructors are
+        # never surface of their own.
+        write(root, "src/text/surface.h",
+              "#include <string_view>\n"
+              "namespace gralmatch {\n"
+              "\n"
+              "int OnlyTestsCall(int x);\n"
+              "bool IsValidIsin(std::string_view isin);\n"
+              "Result<int> ExampleCalls(int x);\n"
+              "class Widget {\n"
+              " public:\n"
+              "  explicit Widget(int n) : n_(n) {}\n"
+              "  int TestOnly() const { return n_; }\n"
+              "  int size() const { return n_; }\n"
+              " private:\n"
+              "  int n_;\n"
+              "};\n"
+              "}  // namespace gralmatch\n")
+        write(root, "src/text/surface.cc",
+              "namespace gralmatch {\n"
+              "int OnlyTestsCall(int x) { return x + 1; }\n"
+              "bool IsValidIsin(std::string_view isin) { return true; }\n"
+              "Result<int> ExampleCalls(int x) { return x * 2; }\n"
+              "}  // namespace gralmatch\n")
+        write(root, "tests/surface_util.cc",
+              "int f() { return OnlyTestsCall(1) + Widget(2).TestOnly() +\n"
+              "                IsValidIsin(\"x\"); }\n")
+        write(root, "examples/demo.cpp",
+              "int main() {\n"
+              "  Widget w(3);\n"
+              "  return *ExampleCalls(w.size());\n"
+              "}\n")
+
         cls.findings = check_invariants.run(root)
 
     @classmethod
@@ -213,12 +249,30 @@ class FixtureTreeTest(unittest.TestCase):
     def test_fp_contract_reenabled(self):
         self.assert_finding("src/nn/CMakeLists.txt:2", "fp-contract")
 
+    def test_dead_surface_test_only_function(self):
+        self.assert_finding("src/text/surface.h:4", "dead-surface")
+
+    def test_dead_surface_test_only_member(self):
+        self.assert_finding("src/text/surface.h:10", "dead-surface")
+
+    def test_dead_surface_allowlisted(self):
+        flagged = [f for f in self.findings if "IsValidIsin" in f]
+        self.assertEqual(flagged, [],
+                         "an allowlisted function is surface kept on purpose")
+
+    def test_dead_surface_example_caller(self):
+        flagged = [f for f in self.findings if "[dead-surface]" in f and
+                   ("ExampleCalls" in f or "size" in f or "Widget has" in f)]
+        self.assertEqual(flagged, [],
+                         "a caller in examples/ makes a function live")
+
     def test_no_unexpected_findings(self):
         # Every fixture finding is one of the seeded ones: no rule
         # misfires on the clean fixture files.
         seeded = ("bad_bytes.cc", "bad_tmp.cc", "orphan_test.cc",
                   "conc_test.cc", "ci.yml", "bad_dag.h", "bad_sync.h",
-                  "checkpoint.cc", "bad_pairs.cc", "CMakeLists.txt")
+                  "checkpoint.cc", "bad_pairs.cc", "CMakeLists.txt",
+                  "surface.h:4:", "surface.h:10:")
         for f in self.findings:
             self.assertTrue(any(s in f for s in seeded),
                             f"unexpected finding: {f}")

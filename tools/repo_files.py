@@ -38,6 +38,16 @@ def source_files(repo_root, modules=None):
     return out
 
 
+def program_files(repo_root):
+    """Every C++ file of a program: the library, its examples, benches and
+    the end-to-end harness. tests/ is not among them, so a function only
+    its own unit test calls has no caller here."""
+    root = pathlib.Path(repo_root)
+    return [p for d in ("src", "examples", "bench", "e2ebench")
+            for p in sorted((root / d).rglob("*"))
+            if p.suffix in (".h", ".cc", ".cpp") and p.is_file()]
+
+
 def test_suite_files(repo_root):
     """tests/*_test.cc — one gtest suite per file, by repo convention."""
     root = pathlib.Path(repo_root)
