@@ -26,7 +26,7 @@ PipelineResult EntityGroupPipeline::Run(const Dataset& dataset,
                                         const PairwiseMatcher& matcher) const {
   std::unique_ptr<ThreadPool> pool = MaybeMakePool(config_.num_threads);
 
-  // Pairwise prediction, batched: contiguous score_batch_size chunks of the
+  // Pairwise prediction, batched: contiguous kScoreBatchSize chunks of the
   // candidate list each make one ScoreBatch call, and the chunks fan out
   // across the pool. The stopwatch wraps the whole scoring region (dispatch
   // to join), not the per-batch calls, so inference_seconds is the stage's
@@ -45,7 +45,7 @@ PipelineResult EntityGroupPipeline::Run(const Dataset& dataset,
                                     metrics.cascade_escalated);
     ScorePairsBatched(pool.get(), dataset.records, matcher,
                       Span<const RecordPair>(pairs.data(), pairs.size()),
-                      config_.score_batch_size,
+                      kScoreBatchSize,
                       Span<double>(scores.data(), scores.size()));
   }
   const double inference_seconds = watch.ElapsedSeconds();

@@ -37,12 +37,6 @@ struct PipelineConfig {
   /// fields vary). The matcher's MatchProbability must be const-thread-safe,
   /// which holds for all matchers in this repo.
   size_t num_threads = 1;
-  /// Maximum pairs per PairwiseMatcher::ScoreBatch call during candidate
-  /// scoring. Larger batches amortize per-call costs (the transformer runs
-  /// one packed forward pass per batch); the ScoreBatch contract guarantees
-  /// any value — including 1 — produces bitwise-identical results, so this
-  /// is purely a throughput knob. 0 behaves like 1.
-  size_t score_batch_size = 64;
   /// Optional observability sink (obs/metrics.h). Runtime-only and inert:
   /// the pointer is never serialized (checkpoint configs enumerate their
   /// fields explicitly), never compared, and never influences any output —

@@ -20,6 +20,12 @@ namespace gralmatch {
 
 class ThreadPool;
 
+/// Maximum pairs per PairwiseMatcher::ScoreBatch call at every pipeline
+/// scoring site. Larger batches amortize per-call costs (the transformer
+/// runs one packed forward pass per batch); the ScoreBatch contract makes
+/// any batch size bitwise-identical, so this only sets throughput.
+inline constexpr size_t kScoreBatchSize = 64;
+
 /// Score `pairs` against `records` into `out` (out.size() == pairs.size())
 /// by slicing the pair list into contiguous chunks, calling
 /// matcher.ScoreBatch once per chunk, and fanning the chunks out across

@@ -26,11 +26,12 @@
 ///     (serve/sharded_checkpoint.h). Loading reassembles one engine and
 ///     finishes through the engine's own restore checks.
 ///
-/// Schedule-equivalence contract (enforced by tests/shard_test.cc and
-/// tests/crud_test.cc): after ANY interleaved add/update/delete schedule,
-/// at any shard count and thread count, Snapshot() and every IngestReport
-/// equal IncrementalPipeline's on the same schedule, and Snapshot() equals
-/// a from-scratch EntityGroupPipeline::Run on the surviving records.
+/// Schedule-equivalence contract (enforced by
+/// tests/pipeline_equivalence_test.cc): after ANY interleaved
+/// add/update/delete schedule, at any shard count and thread count,
+/// Snapshot() and every IngestReport equal IncrementalPipeline's on the
+/// same schedule, and Snapshot() equals a from-scratch
+/// EntityGroupPipeline::Run on the surviving records.
 
 #include <cstddef>
 #include <cstdint>

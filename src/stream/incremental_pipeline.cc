@@ -57,34 +57,14 @@ Status IncrementalPipeline::ValidateRemovals(
 Result<IngestReport> IncrementalPipeline::Ingest(
     const std::vector<Record>& batch, const PairwiseMatcher& matcher) {
   if (poisoned_) return PoisonError();
-  try {
-    return MutateImpl(batch, {}, matcher);
-  } catch (const std::exception& e) {
-    poisoned_ = true;
-    poison_reason_ = std::string("an ingest aborted mid-way: ") + e.what();
-    return PoisonError();
-  } catch (...) {
-    poisoned_ = true;
-    poison_reason_ = "an ingest aborted mid-way: non-standard exception";
-    return PoisonError();
-  }
+  return GuardedMutate("an ingest", batch, {}, matcher);
 }
 
 Result<IngestReport> IncrementalPipeline::Remove(
     const std::vector<RecordId>& ids, const PairwiseMatcher& matcher) {
   if (poisoned_) return PoisonError();
   GRALMATCH_RETURN_NOT_OK(ValidateRemovals(ids));
-  try {
-    return MutateImpl({}, ids, matcher);
-  } catch (const std::exception& e) {
-    poisoned_ = true;
-    poison_reason_ = std::string("a removal aborted mid-way: ") + e.what();
-    return PoisonError();
-  } catch (...) {
-    poisoned_ = true;
-    poison_reason_ = "a removal aborted mid-way: non-standard exception";
-    return PoisonError();
-  }
+  return GuardedMutate("a removal", {}, ids, matcher);
 }
 
 Result<IngestReport> IncrementalPipeline::Update(
@@ -99,17 +79,23 @@ Result<IngestReport> IncrementalPipeline::Update(
     adds.push_back(update.record);
   }
   GRALMATCH_RETURN_NOT_OK(ValidateRemovals(ids));
+  return GuardedMutate("an update", adds, ids, matcher);
+}
+
+Result<IngestReport> IncrementalPipeline::GuardedMutate(
+    const char* verb_phrase, const std::vector<Record>& adds,
+    const std::vector<RecordId>& removal_ids, const PairwiseMatcher& matcher) {
+  std::string reason;
   try {
-    return MutateImpl(adds, ids, matcher);
+    return MutateImpl(adds, removal_ids, matcher);
   } catch (const std::exception& e) {
-    poisoned_ = true;
-    poison_reason_ = std::string("an update aborted mid-way: ") + e.what();
-    return PoisonError();
+    reason = e.what();
   } catch (...) {
-    poisoned_ = true;
-    poison_reason_ = "an update aborted mid-way: non-standard exception";
-    return PoisonError();
+    reason = "non-standard exception";
   }
+  poisoned_ = true;
+  poison_reason_ = std::string(verb_phrase) + " aborted mid-way: " + reason;
+  return PoisonError();
 }
 
 IngestReport IncrementalPipeline::MutateImpl(
@@ -224,7 +210,7 @@ IngestReport IncrementalPipeline::MutateImpl(
   }
   std::sort(to_score.begin(), to_score.end());
   // Batched scoring (core/score_batching.h): the sorted to-score list is cut
-  // into balanced chunks of at most score_batch_size, one ScoreBatch call
+  // into balanced chunks of at most kScoreBatchSize, one ScoreBatch call
   // each, fanned out over the pool — bitwise-identical to the per-pair walk
   // at any thread count.
   Stopwatch scoring_watch;
@@ -234,7 +220,7 @@ IngestReport IncrementalPipeline::MutateImpl(
                                     metrics.cascade_escalated);
     ScorePairsBatched(pool_.get(), records_, matcher,
                       Span<const RecordPair>(to_score.data(), to_score.size()),
-                      config_.pipeline.score_batch_size,
+                      kScoreBatchSize,
                       Span<double>(scores.data(), scores.size()));
   }
   report.scoring_seconds = scoring_watch.ElapsedSeconds();

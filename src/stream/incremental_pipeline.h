@@ -22,15 +22,16 @@
 ///     or lost a node, an edge, or a provenance bit); untouched groups are
 ///     spliced through unchanged with their cached cleanup counters.
 ///
-/// Batch-equivalence contract (enforced by tests/stream_test.cc): after any
-/// sequence of ingests, Snapshot() — groups, predicted pairs, pre-cleanup
-/// components and all cleanup counters — is identical to
-/// EntityGroupPipeline::Run on the union of all batches with the same
-/// blockers and matcher, at any num_threads. Only the wall-clock fields
-/// differ in meaning: Snapshot() reports times accumulated across ingests.
+/// Batch-equivalence contract (enforced by
+/// tests/pipeline_equivalence_test.cc): after any sequence of ingests,
+/// Snapshot() — groups, predicted pairs, pre-cleanup components and all
+/// cleanup counters — is identical to EntityGroupPipeline::Run on the union
+/// of all batches with the same blockers and matcher, at any num_threads.
+/// Only the wall-clock fields differ in meaning: Snapshot() reports times
+/// accumulated across ingests.
 ///
-/// Schedule-equivalence contract (enforced by tests/crud_test.cc): the
-/// contract survives deletions. Records are tombstoned, never recycled —
+/// Schedule-equivalence contract (same suite): the contract survives
+/// deletions. Records are tombstoned, never recycled —
 /// the table stays append-only, ids are stable, and a removed record's
 /// payload is retained so its blocking keys can be re-extracted — and after
 /// ANY interleaved Ingest/Update/Remove schedule, Snapshot() equals a
@@ -247,6 +248,13 @@ class IncrementalPipeline {
   IngestReport MutateImpl(const std::vector<Record>& adds,
                           const std::vector<RecordId>& removal_ids,
                           const PairwiseMatcher& matcher);
+
+  /// MutateImpl behind the poison fail-fast: an exception mid-way poisons
+  /// the pipeline with "<verb_phrase> aborted mid-way: <what()>".
+  Result<IngestReport> GuardedMutate(const char* verb_phrase,
+                                     const std::vector<Record>& adds,
+                                     const std::vector<RecordId>& removal_ids,
+                                     const PairwiseMatcher& matcher);
 
   /// Removal ids must be in range, alive and duplicate-free — checked
   /// before any state changes so a bad call is rejected without poisoning.

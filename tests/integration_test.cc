@@ -224,8 +224,9 @@ class PerPairOnlyMatcher : public PairwiseMatcher {
 TEST_F(FinancialEndToEnd, BatchedTransformerScoringIdenticalToPerPair) {
   // The batched scoring path (ScorePairsBatched -> TransformerMatcher::
   // ScoreBatch -> packed PredictBatch) must reproduce the per-pair walk
-  // bitwise for every thread count and batch size: identical predicted
-  // pairs, components, groups and counters. PredictBatch prunes the last
+  // bitwise for every thread count: identical predicted pairs, components,
+  // groups and counters (ScorePairsBatchedTest in core_test pins every
+  // batch size). PredictBatch prunes the last
   // block to the [CLS] rows; at one layer that block is also the first, so
   // two layers are run as well.
   CandidateSet candidates = CompanyCandidates();
@@ -245,27 +246,21 @@ TEST_F(FinancialEndToEnd, BatchedTransformerScoringIdenticalToPerPair) {
 
     PipelineConfig config;
     config.pre_cleanup_threshold = 50;
-    config.score_batch_size = 1;
     PipelineResult baseline = EntityGroupPipeline(config).Run(
         bench_->companies, candidate_vec, per_pair);
 
     for (size_t threads : {1u, 2u, 8u}) {
-      for (size_t batch : {1u, 7u, 64u}) {
-        config.num_threads = threads;
-        config.score_batch_size = batch;
-        PipelineResult result = EntityGroupPipeline(config).Run(
-            bench_->companies, candidate_vec, transformer);
-        const std::string context = "layers=" + std::to_string(layers) +
-                                    " threads=" + std::to_string(threads) +
-                                    " batch=" + std::to_string(batch);
-        EXPECT_EQ(result.predicted_pairs, baseline.predicted_pairs)
-            << context;
-        EXPECT_EQ(result.pre_cleanup_components,
-                  baseline.pre_cleanup_components)
-            << context;
-        EXPECT_EQ(result.groups, baseline.groups) << context;
-        ExpectSameCountersAs(result.cleanup_stats, baseline.cleanup_stats);
-      }
+      config.num_threads = threads;
+      PipelineResult result = EntityGroupPipeline(config).Run(
+          bench_->companies, candidate_vec, transformer);
+      const std::string context = "layers=" + std::to_string(layers) +
+                                  " threads=" + std::to_string(threads);
+      EXPECT_EQ(result.predicted_pairs, baseline.predicted_pairs) << context;
+      EXPECT_EQ(result.pre_cleanup_components,
+                baseline.pre_cleanup_components)
+          << context;
+      EXPECT_EQ(result.groups, baseline.groups) << context;
+      ExpectSameCountersAs(result.cleanup_stats, baseline.cleanup_stats);
     }
   }
 }

@@ -31,14 +31,12 @@
 #include <vector>
 
 #include "common/binary_io.h"
-#include "datagen/financial_gen.h"
-#include "datagen/wdc_gen.h"
 #include "matching/matcher.h"
 #include "obs/metrics.h"
 #include "serve/checkpoint.h"
 #include "shard/sharded_pipeline.h"
 #include "stream/incremental_pipeline.h"
-#include "text/normalize.h"
+#include "test_support.h"
 
 namespace gralmatch {
 namespace obs {
@@ -262,98 +260,30 @@ TEST(ObsRegistryTest, ConcurrentWritersAndScrapersAreRaceFree) {
 // Inertness differential: instrumented == uninstrumented, bitwise
 // ---------------------------------------------------------------------------
 
-/// Deterministic token-Jaccard matcher (as in stream/shard tests) so both
-/// fixtures score meaningfully.
-class JaccardMatcher : public PairwiseMatcher {
- public:
-  std::string name() const override { return "jaccard"; }
-  std::string Fingerprint() const override { return "jaccard#1"; }
-  double MatchProbability(const Record& a, const Record& b) const override {
-    const auto ta = Tokens(a);
-    const auto tb = Tokens(b);
-    if (ta.empty() && tb.empty()) return 0.0;
-    size_t common = 0, ia = 0, ib = 0;
-    while (ia < ta.size() && ib < tb.size()) {
-      if (ta[ia] < tb[ib]) {
-        ++ia;
-      } else if (tb[ib] < ta[ia]) {
-        ++ib;
-      } else {
-        ++common, ++ia, ++ib;
-      }
-    }
-    const size_t total = ta.size() + tb.size() - common;
-    return static_cast<double>(common) /
-           static_cast<double>(total == 0 ? 1 : total);
-  }
-
- private:
-  static std::vector<std::string> Tokens(const Record& rec) {
-    auto toks = TokenizeContentWords(rec.AllText());
-    std::sort(toks.begin(), toks.end());
-    toks.erase(std::unique(toks.begin(), toks.end()), toks.end());
-    return toks;
-  }
-};
-
-std::vector<Record> WithUids(const RecordTable& table) {
-  std::vector<Record> out;
-  out.reserve(table.size());
-  for (size_t i = 0; i < table.size(); ++i) {
-    Record rec = table.at(static_cast<RecordId>(i));
-    rec.Set("_uid", std::to_string(i));
-    out.push_back(std::move(rec));
-  }
-  return out;
-}
+using testing_support::JaccardMatcher;
 
 std::vector<Record> FinancialRecords() {
-  SyntheticConfig config;
-  config.seed = 505;
-  config.num_groups = 40;
-  return WithUids(FinancialGenerator(config).Generate().securities.records);
+  return testing_support::FinancialRecords(40);
 }
 
-std::vector<Record> WdcRecords() {
-  WdcConfig config;
-  config.num_entities = 80;
-  config.seed = 77;
-  return WithUids(WdcProductsGenerator(config).Generate().records);
-}
+std::vector<Record> WdcRecords() { return testing_support::WdcRecords(80); }
 
 IncrementalPipelineConfig StreamConfig(size_t num_threads) {
-  IncrementalPipelineConfig config;
-  config.pipeline.cleanup.gamma = 6;
-  config.pipeline.cleanup.mu = 3;
-  config.pipeline.pre_cleanup_threshold = 9;
-  config.pipeline.match_threshold = 0.3;
-  config.pipeline.num_threads = num_threads;
-  config.token.top_n = 5;
-  return config;
+  return testing_support::TightConfig(num_threads, 0.3);
 }
 
 /// Ingest `records` in three batches.
-void IngestInBatches(IncrementalPipeline* pipeline,
-                     const std::vector<Record>& records,
+template <typename Pipeline>
+void IngestInBatches(Pipeline* pipeline, const std::vector<Record>& records,
                      const PairwiseMatcher& matcher) {
-  const size_t batch_size = (records.size() + 2) / 3;
-  for (size_t begin = 0; begin < records.size(); begin += batch_size) {
-    const size_t end = std::min(begin + batch_size, records.size());
-    std::vector<Record> batch(records.begin() + static_cast<long>(begin),
-                              records.begin() + static_cast<long>(end));
-    ASSERT_TRUE(pipeline->Ingest(batch, matcher).ok());
-  }
-}
-
-void IngestInBatches(ShardedPipeline* pipeline,
-                     const std::vector<Record>& records,
-                     const PairwiseMatcher& matcher) {
-  const size_t batch_size = (records.size() + 2) / 3;
-  for (size_t begin = 0; begin < records.size(); begin += batch_size) {
-    const size_t end = std::min(begin + batch_size, records.size());
-    std::vector<Record> batch(records.begin() + static_cast<long>(begin),
-                              records.begin() + static_cast<long>(end));
-    ASSERT_TRUE(pipeline->Ingest(batch, matcher).ok());
+  size_t begin = 0;
+  for (size_t size : testing_support::EqualBatches(records.size(), 3)) {
+    ASSERT_TRUE(pipeline
+                    ->Ingest(testing_support::Slice(records, begin,
+                                                    begin + size),
+                             matcher)
+                    .ok());
+    begin += size;
   }
 }
 

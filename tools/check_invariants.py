@@ -80,7 +80,15 @@ Rules (each finding is printed as `file:line: [rule] message`):
                    DEAD_SURFACE_ALLOWLIST with its reason: a function only
                    its unit test calls is surface no program needs. Callers
                    are matched by name, so an overload or a same-named
-                   function elsewhere counts as a caller.
+                   function elsewhere counts as a caller. Likewise every
+                   class a src/**/*.h header derives from a src/ class
+                   (an implementation of a src/ interface) is named in that
+                   program code outside its own .h/.cc, or is allowlisted:
+                   overrides share their interface's names, so the function
+                   check alone cannot see an implementation nothing
+                   constructs. Pointer, reference and `Name::` mentions
+                   and cast targets observe objects someone else builds,
+                   so they are not uses.
 """
 
 import argparse
@@ -179,6 +187,9 @@ DEAD_SURFACE_ALLOWLIST = {
         "net tests wait on it until a closed connection's slot is reaped",
     "ShardFilePaths":
         "corruption tests find shard files, whose names embed checksums",
+    "CascadeMatcher":
+        "kept on the LM gate-band measurement (ROADMAP item 5); no "
+        "program builds one until the LM cascade workload lands (item 10)",
 }
 
 LITERAL_OR_COMMENT_RE = re.compile(
@@ -194,6 +205,12 @@ NOT_A_DECL_WORD_RE = re.compile(
     r"co_await|sizeof)\b")
 CLASS_HEAD_RE = re.compile(r"^\s*(?:template\s*<[^{]*?>\s*)?"
                            r"(?:class|struct|union|enum)\b")
+#: A class head with a base clause: `class Name [final] : bases {`.
+DERIVED_CLASS_RE = re.compile(
+    r"\b(?:class|struct)\s+(\w+)(?:\s+final)?\s*:(?!:)\s*([^{;]*)\{")
+CLASS_NAME_RE = re.compile(r"\b(?:class|struct)\s+(\w+)")
+ACCESS_WORDS = frozenset(("public", "protected", "private", "virtual"))
+CAST_RE = re.compile(r"\b\w+_cast\s*<[^>]*>")
 CPP_KEYWORDS = frozenset("""
     _Pragma alignas alignof asm auto bool char const constexpr decltype
     double else explicit float for if int long noexcept operator requires
@@ -554,18 +571,21 @@ def scan_functions(code):
 
 
 def check_dead_surface(repo_root):
-    """Every function a src/ header declares has a caller outside tests/."""
+    """Every function a src/ header declares has a caller outside tests/,
+    and every src/ implementation of a src/ class is named outside its own
+    files."""
     root = pathlib.Path(repo_root)
+    codes = {rel(path, root): code_of(path.read_text(encoding="utf-8"))
+             for path in repo_files.program_files(root)}
+    headers = {relpath: code for relpath, code in codes.items()
+               if relpath.startswith("src/") and relpath.endswith(".h")}
     used = set()
     declared = []  # (relpath, line, qualified name, name)
-    for path in repo_files.program_files(root):
-        code = code_of(path.read_text(encoding="utf-8"))
-        relpath = rel(path, root)
-        is_header = relpath.startswith("src/") and path.suffix == ".h"
+    for relpath, code in codes.items():
         for name, offset, is_decl, enclosing in scan_functions(code):
             if not is_decl:
                 used.add(name)
-            elif is_header and enclosing is not None and \
+            elif relpath in headers and enclosing is not None and \
                     name != enclosing and name not in CPP_KEYWORDS and \
                     not re.fullmatch(r"[A-Z0-9_]+", name):
                 qualified = f"{enclosing}::{name}" if enclosing else name
@@ -579,6 +599,33 @@ def check_dead_surface(repo_root):
             f"{relpath}:{lineno}: [dead-surface] {qualified} has no caller "
             "in src/, examples/, bench/ or e2ebench/ — delete it, or "
             "allowlist it with its reason in DEAD_SURFACE_ALLOWLIST")
+
+    src_classes = {name for code in headers.values()
+                   for name in CLASS_NAME_RE.findall(code)}
+    uses = {relpath: CAST_RE.sub(" ", code)
+            for relpath, code in codes.items()}
+    for relpath, code in headers.items():
+        own = (relpath, relpath[:-2] + ".cc")
+        for m in DERIVED_CLASS_RE.finditer(code):
+            name = m.group(1)
+            bases = [b.split("::")[-1]
+                     for b in re.findall(r"[\w:]+", m.group(2))
+                     if b not in ACCESS_WORDS]
+            base = next((b for b in bases if b in src_classes and b != name),
+                        None)
+            if base is None or name in DEAD_SURFACE_ALLOWLIST:
+                continue
+            pattern = re.compile(rf"\b{name}\b(?!\s*(?:[*&]|::))")
+            if any(pattern.search(text) for other, text in uses.items()
+                   if other not in own):
+                continue
+            errors.append(
+                f"{relpath}:{code.count(chr(10), 0, m.start()) + 1}: "
+                f"[dead-surface] {name} implements {base} but no code in "
+                "src/, examples/, bench/ or e2ebench/ outside its own files "
+                "names it other than by pointer, reference, `::` or cast — "
+                "delete it, or allowlist it with its reason in "
+                "DEAD_SURFACE_ALLOWLIST")
     return errors
 
 

@@ -10,6 +10,7 @@ would.
 """
 
 import pathlib
+import re
 import sys
 import tempfile
 import unittest
@@ -166,6 +167,48 @@ class FixtureTreeTest(unittest.TestCase):
               "  return *ExampleCalls(w.size());\n"
               "}\n")
 
+        # dead-surface, classes: implementations of the src/ interface
+        # Scorer. TestOnlyScorer (line 6) is built only by a test, and
+        # ObservedScorer (line 9) is only named through a pointer, a
+        # `::` and a dynamic_cast in src/; a demo builds UsedScorer;
+        # CascadeMatcher is allowlisted; a std::exception subclass has no
+        # src/ base.
+        write(root, "src/text/scorers.h",
+              "namespace gralmatch {\n"
+              "class Scorer {\n"
+              " public:\n"
+              "  virtual int Score() const = 0;\n"
+              "};\n"
+              "class TestOnlyScorer : public Scorer {\n"
+              "  int Score() const override { return 1; }\n"
+              "};\n"
+              "class ObservedScorer final : public Scorer {\n"
+              " public:\n"
+              "  struct Stats { int hits; };\n"
+              "  int Score() const override { return 2; }\n"
+              "};\n"
+              "class UsedScorer : public Scorer {\n"
+              "  int Score() const override { return 3; }\n"
+              "};\n"
+              "class CascadeMatcher : public Scorer {\n"
+              "  int Score() const override { return 4; }\n"
+              "};\n"
+              "class ParseError : public std::exception {};\n"
+              "}  // namespace gralmatch\n")
+        write(root, "src/text/observer.h",
+              "namespace gralmatch {\n"
+              "inline int Observe(const Scorer& s) {\n"
+              "  const ObservedScorer* o =\n"
+              "      dynamic_cast<const ObservedScorer*>(&s);\n"
+              "  ObservedScorer::Stats stats{0};\n"
+              "  return o == nullptr ? stats.hits : s.Score();\n"
+              "}\n"
+              "}  // namespace gralmatch\n")
+        write(root, "examples/scorers.cpp",
+              "int main() { return Observe(UsedScorer()); }\n")
+        write(root, "tests/scorers_util.cc",
+              "int g() { return TestOnlyScorer().Score(); }\n")
+
         cls.findings = check_invariants.run(root)
 
     @classmethod
@@ -266,13 +309,28 @@ class FixtureTreeTest(unittest.TestCase):
         self.assertEqual(flagged, [],
                          "a caller in examples/ makes a function live")
 
+    def test_dead_surface_test_only_implementation(self):
+        self.assert_finding("src/text/scorers.h:6", "dead-surface")
+
+    def test_dead_surface_observed_only_implementation(self):
+        self.assert_finding("src/text/scorers.h:9", "dead-surface")
+
+    def test_dead_surface_live_and_allowlisted_implementations(self):
+        flagged = {m.group(1) for f in self.findings
+                   for m in [re.search(r"\[dead-surface\] (\w+) implements",
+                                       f)] if m}
+        self.assertEqual(flagged, {"TestOnlyScorer", "ObservedScorer"},
+                         "a built, allowlisted or non-src-derived class is "
+                         "not dead surface")
+
     def test_no_unexpected_findings(self):
         # Every fixture finding is one of the seeded ones: no rule
         # misfires on the clean fixture files.
         seeded = ("bad_bytes.cc", "bad_tmp.cc", "orphan_test.cc",
                   "conc_test.cc", "ci.yml", "bad_dag.h", "bad_sync.h",
                   "checkpoint.cc", "bad_pairs.cc", "CMakeLists.txt",
-                  "surface.h:4:", "surface.h:10:")
+                  "surface.h:4:", "surface.h:10:", "scorers.h:6:",
+                  "scorers.h:9:")
         for f in self.findings:
             self.assertTrue(any(s in f for s in seeded),
                             f"unexpected finding: {f}")
