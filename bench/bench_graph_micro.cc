@@ -9,10 +9,13 @@
 // artifact* (same machine, same build) — never across machines.
 
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "blocking/id_overlap.h"
@@ -35,6 +38,7 @@
 #include "obs/metrics.h"
 #include "serve/checkpoint.h"
 #include "serve/match_service.h"
+#include "serve/sharded_checkpoint.h"
 #include "shard/sharded_pipeline.h"
 #include "stream/incremental_pipeline.h"
 #include "text/similarity.h"
@@ -489,6 +493,50 @@ void BM_CheckpointLoad(benchmark::State& state) {
                           static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_CheckpointLoad)->Unit(benchmark::kMillisecond);
+
+// BM_ShardedCheckpointLoad is the rung under the end-to-end shard
+// workload's recovery_s: the checkpoint-bench state through a 2-shard
+// pipeline, a third of its records then removed (tombstones, as a churned
+// deployment has), saved once to a temp directory and loaded from it on
+// every iteration, file reads included as a restart pays them.
+void BM_ShardedCheckpointLoad(benchmark::State& state) {
+  ShardedPipelineConfig config;
+  config.base = IncrementalBenchConfig();
+  config.num_shards = 2;
+  ShardedPipeline pipeline(config);
+  HeuristicIdMatcher matcher;
+  const std::vector<Record>& records = IncrementalBenchRecords();
+  pipeline.Ingest(records, matcher).ValueOrDie();
+  std::vector<RecordId> removals;
+  for (size_t id = 0; id < records.size(); id += 3) {
+    removals.push_back(static_cast<RecordId>(id));
+  }
+  pipeline.Remove(removals, matcher).ValueOrDie();
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("bench_sharded_checkpoint_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  if (!SaveShardedCheckpoint(pipeline, dir.string()).ok()) {
+    state.SkipWithError("sharded checkpoint save failed");
+    return;
+  }
+  uintmax_t bytes = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    bytes += entry.file_size();
+  }
+  for (auto _ : state) {
+    auto restored = LoadShardedCheckpoint(dir.string(), matcher);
+    if (!restored.ok()) {
+      state.SkipWithError("sharded checkpoint load failed");
+      break;
+    }
+    benchmark::DoNotOptimize(restored);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(bytes) *
+                          static_cast<int64_t>(state.iterations()));
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_ShardedCheckpointLoad)->Unit(benchmark::kMillisecond);
 
 void BM_ServeQuery(benchmark::State& state) {
   const IncrementalPipeline& pipeline = CheckpointBenchPipeline();

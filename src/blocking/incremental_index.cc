@@ -43,7 +43,7 @@ void BumpRefcount(
     std::unordered_map<RecordPair, uint32_t, RecordPairHash>* refcount,
     std::unordered_map<RecordPair, uint32_t, RecordPairHash>* old_ref) {
   uint32_t& count = (*refcount)[pair];
-  old_ref->emplace(pair, count);
+  old_ref->try_emplace(pair, count);
   count = static_cast<uint32_t>(static_cast<int>(count) + delta);
 }
 
@@ -264,7 +264,8 @@ CandidateDelta IncrementalTokenOverlapIndex::AddRecords(
     ids.reserve(new_tokens[k].size());
     for (auto& tok : new_tokens[k]) {
       auto [it, inserted] =
-          token_id_.emplace(std::move(tok), static_cast<int32_t>(tokens_.size()));
+          token_id_.try_emplace(std::move(tok),
+                                static_cast<int32_t>(tokens_.size()));
       if (inserted) tokens_.emplace_back();
       const int32_t tid = it->second;
       TokenInfo& info = tokens_[static_cast<size_t>(tid)];
@@ -564,7 +565,7 @@ CandidateDelta IncrementalIdOverlapIndex::AddRecords(const RecordTable& records,
     for (const auto& value :
          IdentifierValues(records.at(static_cast<RecordId>(r)))) {
       std::vector<RecordId>& holders = index_[value];
-      touched.emplace(&holders, holders.size());
+      touched.try_emplace(&holders, holders.size());
       holders.push_back(static_cast<RecordId>(r));
     }
   }
@@ -630,7 +631,7 @@ CandidateDelta IncrementalIdOverlapIndex::RemoveRecords(
       auto it = index_.find(value);
       if (it == index_.end()) continue;
       std::vector<RecordId>& holders = it->second;
-      auto [slot, inserted] = touched.emplace(&holders, diffs.size());
+      auto [slot, inserted] = touched.try_emplace(&holders, diffs.size());
       if (inserted) diffs.push_back({&holders, holders, {}, {}});
       (void)slot;
       holders.erase(std::remove(holders.begin(), holders.end(), r),

@@ -220,6 +220,8 @@ std::string DumpMetricsJson(const MetricsRegistry& registry) {
 PipelineMetrics PipelineMetrics::Create(MetricsRegistry* registry) {
   PipelineMetrics metrics;
   if (registry == nullptr) return metrics;
+  metrics.mutation_seconds =
+      registry->GetHistogram("pipeline_mutation_seconds");
   metrics.blocking_seconds =
       registry->GetHistogram("pipeline_blocking_seconds");
   metrics.scoring_seconds = registry->GetHistogram("pipeline_scoring_seconds");

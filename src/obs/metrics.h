@@ -209,6 +209,7 @@ std::string DumpMetricsJson(const MetricsRegistry& registry);
 struct PipelineMetrics {
   static PipelineMetrics Create(MetricsRegistry* registry);
 
+  Histogram* mutation_seconds = nullptr;   ///< one whole Ingest/Remove/Update
   Histogram* blocking_seconds = nullptr;   ///< incremental index delta apply
   Histogram* scoring_seconds = nullptr;    ///< batched matcher inference
   Histogram* cleanup_seconds = nullptr;    ///< dirty-component graph cleanup

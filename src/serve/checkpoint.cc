@@ -14,10 +14,7 @@ constexpr char kMagic[8] = {'G', 'R', 'L', 'M', 'C', 'K', 'P', 'T'};
 Result<std::string> SerializeCheckpoint(const IncrementalPipeline& pipeline) {
   BinaryWriter image;
   image.WriteBytes(kMagic, sizeof(kMagic));
-  // Lowest version that can represent the state: the tombstone section (and
-  // with it version 2) exists only when some record is dead, so a
-  // tombstone-free pipeline keeps producing byte-identical version 1 images.
-  image.WriteU32(pipeline.num_dead() > 0 ? kCheckpointVersion : 1);
+  image.WriteU32(kCheckpointVersion);
   image.WriteString(pipeline.fingerprint());
   // The body serializes straight into the image (checkpoints scale with the
   // full pipeline state — no second copy of it); its u64 length prefix is

@@ -13,7 +13,7 @@
 /// File format (all integers little-endian, see common/binary_io.h):
 ///
 ///   offset 0   8-byte magic "GRLMCKPT"
-///          8   u32 format version (1 or 2, see below)
+///          8   u32 format version (1, 2 or 3, see below)
 ///         12   matcher fingerprint (u64 length + bytes)
 ///          .   u64 body size, then the body: the pipeline state produced
 ///              by IncrementalPipeline::Serialize
@@ -21,12 +21,13 @@
 ///              body both — a flipped fingerprint byte is diagnosed as
 ///              corruption, not as a matcher change)
 ///
-/// Version stamping: version 2 added the tombstone section (sorted dead
-/// record ids after the record table) for pipelines with removals. The
-/// writer stamps the *lowest* version that can represent the state — a
-/// pipeline with no dead records produces a byte-identical version 1 image,
-/// so pre-tombstone readers keep loading tombstone-free checkpoints and
-/// every version 1 file round-trips unchanged through this binary.
+/// Versions: version 2 added the tombstone section (sorted dead record ids
+/// after the record table). Version 3 writes that section always, moves the
+/// fingerprint ahead of the blocking state (both index states, then the
+/// candidate provenance — the section the sharded manifest shares), and
+/// drops the two cumulative wall-clock doubles that closed the body, so
+/// two runs of one schedule write identical images. The writer always
+/// stamps version 3; version 1 and 2 images still load.
 ///
 /// Load validation order: magic, version (files from a *newer* format are
 /// rejected, not misread), whole-image checksum, header fingerprint against
@@ -45,10 +46,9 @@
 
 namespace gralmatch {
 
-/// Newest checkpoint format version this binary reads and writes. Bump on
-/// any layout change. Writers stamp the lowest version representing the
-/// state (see the file comment), so this is a ceiling, not the stamp.
-constexpr uint32_t kCheckpointVersion = 2;
+/// The checkpoint format version this binary writes, and the newest it
+/// reads. Bump on any layout change.
+constexpr uint32_t kCheckpointVersion = 3;
 
 /// Serialize `pipeline` into an in-memory checkpoint image (magic, version,
 /// fingerprint header, body, checksum). Fails on a poisoned pipeline — an

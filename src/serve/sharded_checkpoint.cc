@@ -138,19 +138,13 @@ Status SaveShardedCheckpoint(const ShardedPipeline& pipeline,
   // stays complete on disk throughout.
   std::vector<BinaryWriter> bodies;
   GRALMATCH_RETURN_NOT_OK(pipeline.SerializeShardBodies(&bodies));
-  // Lowest version that can represent the state, uniform across the
-  // manifest and every shard file: tombstone sections (and with them
-  // version 2) exist only when some record is dead, so a tombstone-free
-  // pipeline keeps producing byte-identical version 1 checkpoints.
-  const uint32_t version =
-      pipeline.num_dead() > 0 ? kShardedCheckpointVersion : 1;
   std::vector<uint64_t> shard_checksums;
   std::unordered_set<std::string> live_names;
   shard_checksums.reserve(bodies.size());
   for (size_t s = 0; s < bodies.size(); ++s) {
     BinaryWriter image;
     image.WriteBytes(kShardMagic, sizeof(kShardMagic));
-    image.WriteU32(version);
+    image.WriteU32(kShardedCheckpointVersion);
     image.WriteU32(static_cast<uint32_t>(s));
     image.WriteU64(bodies[s].size());
     image.WriteBytes(bodies[s].buffer().data(), bodies[s].size());
@@ -167,7 +161,7 @@ Status SaveShardedCheckpoint(const ShardedPipeline& pipeline,
   // commits atomically last.
   BinaryWriter manifest;
   manifest.WriteBytes(kManifestMagic, sizeof(kManifestMagic));
-  manifest.WriteU32(version);
+  manifest.WriteU32(kShardedCheckpointVersion);
   manifest.WriteString(pipeline.fingerprint());
   manifest.WriteU64(shard_checksums.size());
   for (const uint64_t checksum : shard_checksums) {

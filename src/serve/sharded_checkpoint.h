@@ -28,14 +28,15 @@
 ///              ShardedPipeline::SerializeShardBodies
 ///          .   u64 FNV-1a 64 checksum of every preceding byte
 ///
-/// Version stamping: version 2 added the per-shard tombstone section
-/// (docs/formats.md) for pipelines with removals. The writer stamps the
-/// *lowest* version that can represent the state — a pipeline with no dead
-/// records produces byte-identical version 1 files, so pre-tombstone
-/// readers keep loading tombstone-free checkpoints. The stamp is uniform:
+/// Versions: version 2 added the per-shard tombstone section
+/// (docs/formats.md). Version 3 writes it always, stores the engine's
+/// blocking state in the manifest body instead of rebuilding it on load,
+/// and drops the manifest's two cumulative wall-clock doubles. The writer
+/// always stamps version 3; version 1 and 2 directories still load, and
+/// rebuild their blocking indexes from the records. The stamp is uniform:
 /// the manifest and every shard file of one checkpoint carry the same
-/// version, and the loader rejects a mix (a version 1 shard file under a
-/// version 2 manifest is a stale file, not a layout choice).
+/// version, and the loader rejects a mix (a version 2 shard file under a
+/// version 3 manifest is a stale file, not a layout choice).
 ///
 /// Manifest:
 ///
@@ -46,7 +47,8 @@
 ///          .   S u64s: the FNV-1a 64 checksum of each *complete* shard
 ///              file image (framing included) — also each file's name
 ///          .   u64 body size, then the body: the coordinator state
-///              produced by ShardedPipeline::SerializeManifestBody
+///              produced by ShardedPipeline::SerializeManifestBody, the
+///              engine's blocking state included
 ///          .   u64 FNV-1a 64 checksum of every preceding manifest byte
 ///
 /// The per-shard checksum list makes the manifest the single source of
@@ -74,10 +76,9 @@
 
 namespace gralmatch {
 
-/// Newest sharded-checkpoint format version this binary reads and writes.
-/// Bump on any layout change. Writers stamp the lowest version representing
-/// the state (see the file comment), so this is a ceiling, not the stamp.
-constexpr uint32_t kShardedCheckpointVersion = 2;
+/// The sharded-checkpoint format version this binary writes, and the
+/// newest it reads. Bump on any layout change.
+constexpr uint32_t kShardedCheckpointVersion = 3;
 
 /// Write a checkpoint of `pipeline` under the directory `dir` (created if
 /// absent). Content-addressed shard files first, the manifest atomically

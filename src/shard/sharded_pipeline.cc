@@ -160,8 +160,9 @@ Status ShardedPipeline::SerializeManifestBody(BinaryWriter* writer) const {
   writer->WriteString(engine_.fingerprint_);
   writer->WriteU64(engine_.records_.size());
   writer->WriteI32(engine_.store_.next_comp_id());
-  writer->WriteDouble(engine_.scoring_seconds_total_);
-  writer->WriteDouble(engine_.cleanup_seconds_total_);
+  // The index state belongs to the whole engine, not to a shard; the load
+  // reads it instead of rebuilding it from the records.
+  engine_.SaveBlockingState(writer);
   return Status::OK();
 }
 
@@ -189,31 +190,24 @@ Status ShardedPipeline::SerializeShardBodies(
         .emplace_back(cid, &comp);
   }
 
-  // Tombstone sections are all-or-none across the shard files: they exist
-  // exactly when the pipeline has any dead record (then the whole
-  // checkpoint is stamped version 2), so a shard with no dead records still
-  // writes an empty section and every file parses under one version.
-  const bool with_tombstones = engine_.num_dead() > 0;
   writers->clear();
   writers->resize(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
     BinaryWriter* writer = &(*writers)[s];
     // Records with their global ids, dead ones included: the union of
-    // every shard's list reassembles the record table, and the retained
-    // payloads rebuild the blocking indexes on load.
+    // every shard's list reassembles the record table (ids never recycle,
+    // and the retained payloads keep future removals exact).
     writer->WriteU64(owned[s].size());
     for (const RecordId id : owned[s]) {
       writer->WriteI32(id);
       WriteRecord(engine_.records_.at(id), writer);
     }
-    if (with_tombstones) {
-      std::vector<RecordId> dead;
-      for (const RecordId id : owned[s]) {
-        if (!engine_.is_alive(id)) dead.push_back(id);
-      }
-      writer->WriteU64(dead.size());
-      for (const RecordId id : dead) writer->WriteI32(id);
+    std::vector<RecordId> dead;
+    for (const RecordId id : owned[s]) {
+      if (!engine_.is_alive(id)) dead.push_back(id);
     }
+    writer->WriteU64(dead.size());
+    for (const RecordId id : dead) writer->WriteI32(id);
 
     WriteScoreList(std::move(scores[s]), writer);
     WriteRecordPairs(positives[s], writer);
@@ -259,10 +253,6 @@ Result<std::unique_ptr<ShardedPipeline>> ShardedPipeline::DeserializeFromParts(
   const size_t n = static_cast<size_t>(num_records);
   int32_t next_comp_id = 0;
   GRALMATCH_RETURN_NOT_OK(manifest_body->ReadI32(&next_comp_id));
-  GRALMATCH_RETURN_NOT_OK(
-      manifest_body->ReadDouble(&engine.scoring_seconds_total_));
-  GRALMATCH_RETURN_NOT_OK(
-      manifest_body->ReadDouble(&engine.cleanup_seconds_total_));
 
   // Parse every shard's slice, then reassemble the global record table:
   // the ids must tile [0, n) exactly, and each record must route to the
@@ -302,6 +292,14 @@ Result<std::unique_ptr<ShardedPipeline>> ShardedPipeline::DeserializeFromParts(
     }
     engine.records_.Add(std::move(table[id]));
     pipeline->shard_of_record_.push_back(static_cast<uint32_t>(provider[id]));
+  }
+
+  // The manifest body ends with the blocking state (version 3), which
+  // needs the record table in place, or with the legacy wall clock.
+  if (version >= 3) {
+    GRALMATCH_RETURN_NOT_OK(engine.LoadBlockingState(manifest_body));
+  } else {
+    GRALMATCH_RETURN_NOT_OK(SkipLegacyWallClock(manifest_body));
   }
 
   // Tombstones, merged from every shard's section (ParseShardBody verified
@@ -355,7 +353,9 @@ Result<std::unique_ptr<ShardedPipeline>> ShardedPipeline::DeserializeFromParts(
   // sort leaves the merged set strictly ascending.
   std::sort(engine.positives_.begin(), engine.positives_.end());
   engine.store_.SetNextComponentId(next_comp_id);
-  GRALMATCH_RETURN_NOT_OK(engine.FinishRestore(/*rebuild_blocking=*/true));
+  // Legacy directories store no index state: rebuild it from the records.
+  GRALMATCH_RETURN_NOT_OK(
+      engine.FinishRestore(/*rebuild_blocking=*/version < 3));
   return pipeline;
 }
 

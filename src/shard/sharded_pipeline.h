@@ -22,9 +22,10 @@
 ///  2. Checkpoint layout: shards partition the checkpoint, not the
 ///     computation. Each shard file holds the shard's records and
 ///     tombstones, the cached scores and positives of the pairs it owns,
-///     and the components it owns; a manifest ties the files together
-///     (serve/sharded_checkpoint.h). Loading reassembles one engine and
-///     finishes through the engine's own restore checks.
+///     and the components it owns; a manifest ties the files together and
+///     carries the engine-wide blocking state (serve/sharded_checkpoint.h).
+///     Loading reassembles one engine and finishes through the engine's
+///     own restore checks.
 ///
 /// Schedule-equivalence contract (enforced by
 /// tests/pipeline_equivalence_test.cc): after ANY interleaved
@@ -134,15 +135,15 @@ class ShardedPipeline {
   // are in docs/formats.md.
 
   /// Global state: config (shard count and router seed included),
-  /// fingerprint, record count, component-id high-water mark and cumulative
-  /// wall-clock totals. Everything else lives in shard bodies.
+  /// fingerprint, record count, component-id high-water mark, and the
+  /// engine's blocking state (both index states and the candidate
+  /// provenance, through the image body's section codec). Everything else
+  /// lives in shard bodies.
   Status SerializeManifestBody(BinaryWriter* writer) const;
 
   /// Every shard's slice, one writer per shard (`writers` is resized to
-  /// num_shards()): its records (with global ids), its tombstones (only
-  /// when the pipeline has any dead record — tombstone-free pipelines keep
-  /// the version 1 byte layout, serve/sharded_checkpoint.h stamps the
-  /// version to match), the scores and positives of the pairs it owns, the
+  /// num_shards()): its records (with global ids), its tombstones, the
+  /// scores and positives of the pairs it owns, the
   /// matcher-call and cache-hit counters (shard 0 carries the pipeline
   /// totals, the others 0), and the components it owns. One pass buckets
   /// each piece of engine state by owner shard.
@@ -154,9 +155,11 @@ class ShardedPipeline {
   /// route to the shard that stored it, each tombstone, cached score,
   /// positive and component must sit with its owner shard, and no positive
   /// may appear twice. Counter slots are summed across shards. The engine's
-  /// restore then rebuilds the blocking indexes from the records and
-  /// tombstones and re-verifies every cross-field invariant. Any violation
-  /// is a clean error.
+  /// restore then re-verifies every cross-field invariant, the stored
+  /// blocking state against the candidate provenance included; legacy
+  /// (version 1 and 2) directories store no index state, so for them it
+  /// rebuilds the indexes from the records and tombstones first. Any
+  /// violation is a clean error.
   static Result<std::unique_ptr<ShardedPipeline>> DeserializeFromParts(
       BinaryReader* manifest_body, std::vector<BinaryReader>* shard_bodies,
       uint32_t version, size_t num_threads_override = 0);

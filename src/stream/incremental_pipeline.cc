@@ -103,6 +103,9 @@ IngestReport IncrementalPipeline::MutateImpl(
     const PairwiseMatcher& matcher) {
   const obs::PipelineMetrics metrics =
       obs::PipelineMetrics::Create(config_.pipeline.metrics);
+  // Spans the whole mutation, so the phase histograms below (disjoint
+  // stopwatches inside it) sum to at most this one.
+  obs::TraceScope mutation_span(metrics.mutation_seconds);
   IngestReport report;
   report.records_added = adds.size();
   report.records_removed = removal_ids.size();
@@ -133,12 +136,12 @@ IngestReport IncrementalPipeline::MutateImpl(
   auto apply_delta = [&](const CandidateDelta& delta, uint32_t bit) {
     for (const RecordPair& pair : delta.added) {
       uint32_t& prov = candidate_prov_[pair];
-      old_prov.emplace(pair, prov);
+      old_prov.try_emplace(pair, prov);
       prov |= bit;
     }
     for (const RecordPair& pair : delta.removed) {
       auto it = candidate_prov_.find(pair);
-      old_prov.emplace(pair, it->second);
+      old_prov.try_emplace(pair, it->second);
       it->second &= ~bit;
     }
   };
@@ -224,7 +227,6 @@ IngestReport IncrementalPipeline::MutateImpl(
                       Span<double>(scores.data(), scores.size()));
   }
   report.scoring_seconds = scoring_watch.ElapsedSeconds();
-  scoring_seconds_total_ += report.scoring_seconds;
   // Every to-score pair is new to the cache (misses, or everything after a
   // clear), so each enters both partner lists exactly once.
   for (size_t k = 0; k < to_score.size(); ++k) {
@@ -289,7 +291,6 @@ IngestReport IncrementalPipeline::MutateImpl(
   report.components_rebuilt = cleanup.components_rebuilt;
   report.components_reused = cleanup.components_reused;
   report.cleanup_seconds = cleanup_watch.ElapsedSeconds();
-  cleanup_seconds_total_ += report.cleanup_seconds;
 
   // Observability rollup (null-guarded, inert: the report itself is the
   // semantic output and is untouched by whether a registry is wired).
@@ -315,8 +316,6 @@ Result<PipelineResult> IncrementalPipeline::Snapshot() const {
   PipelineResult result;
   result.predicted_pairs = positives_;
   store_.FillSnapshot(records_.size(), &alive_, &result);
-  result.cleanup_stats.seconds = cleanup_seconds_total_;
-  result.inference_seconds = scoring_seconds_total_;
   return result;
 }
 
@@ -396,6 +395,12 @@ Status ReadScoreList(BinaryReader* reader, size_t num_records,
       });
 }
 
+Status SkipLegacyWallClock(BinaryReader* reader) {
+  double seconds = 0.0;
+  GRALMATCH_RETURN_NOT_OK(reader->ReadDouble(&seconds));
+  return reader->ReadDouble(&seconds);
+}
+
 void WriteMatcherCounters(size_t matcher_calls, size_t cache_hits,
                           BinaryWriter* writer) {
   writer->WriteU64(matcher_calls);
@@ -424,34 +429,21 @@ Status IncrementalPipeline::Serialize(BinaryWriter* writer) const {
   writer->WriteU64(records_.size());
   for (const Record& rec : records_.records()) WriteRecord(rec, writer);
 
-  // Tombstones: sorted dead record ids. Written only when some record is
-  // dead — a tombstone-free pipeline keeps emitting the pre-tombstone
-  // (version 1) byte layout, and the framing layer stamps the version to
-  // match (serve/checkpoint.h).
-  if (num_dead_ > 0) {
-    writer->WriteU64(num_dead_);
-    for (size_t r = 0; r < alive_.size(); ++r) {
-      if (!alive_[r]) writer->WriteI32(static_cast<RecordId>(r));
-    }
+  // Tombstones: sorted dead record ids.
+  writer->WriteU64(num_dead_);
+  for (size_t r = 0; r < alive_.size(); ++r) {
+    if (!alive_[r]) writer->WriteI32(static_cast<RecordId>(r));
   }
 
-  // Blocking indexes.
-  id_index_.SaveState(writer);
-  token_index_.SaveState(writer);
-
-  // Scores and candidate state.
   writer->WriteString(fingerprint_);
-  WritePairValues(candidate_prov_, writer);
+  SaveBlockingState(writer);
   WriteScoreList(ScoreList(score_cache_.begin(), score_cache_.end()), writer);
   WriteRecordPairs(positives_, writer);
 
   // Component structure with cached cleanup outcomes.
   store_.Save(writer);
 
-  // Cumulative counters.
   WriteMatcherCounters(total_matcher_calls_, total_cache_hits_, writer);
-  writer->WriteDouble(scoring_seconds_total_);
-  writer->WriteDouble(cleanup_seconds_total_);
   return Status::OK();
 }
 
@@ -492,24 +484,15 @@ Result<std::unique_ptr<IncrementalPipeline>> IncrementalPipeline::Deserialize(
     pipeline->num_dead_ = static_cast<size_t>(dead_count);
   }
 
-  // An enabled blocker's index covers every record; a disabled one never
-  // sees a record, so it must be empty.
-  GRALMATCH_RETURN_NOT_OK(pipeline->id_index_.LoadState(reader));
-  GRALMATCH_RETURN_NOT_OK(pipeline->token_index_.LoadState(reader));
-  if (pipeline->id_index_.num_records() != (config.use_id_blocker ? n : 0) ||
-      pipeline->token_index_.num_records() !=
-          (config.use_token_blocker ? n : 0)) {
-    return Status::IOError(
-        "corrupted checkpoint: blocking index record counts disagree with "
-        "the record table and the enabled blockers");
+  if (version >= 3) {
+    GRALMATCH_RETURN_NOT_OK(reader->ReadString(&pipeline->fingerprint_));
+    GRALMATCH_RETURN_NOT_OK(pipeline->LoadBlockingState(reader));
+  } else {
+    GRALMATCH_RETURN_NOT_OK(pipeline->LoadIndexStates(reader));
+    GRALMATCH_RETURN_NOT_OK(reader->ReadString(&pipeline->fingerprint_));
+    GRALMATCH_RETURN_NOT_OK(
+        ReadPairValues(reader, n, &pipeline->candidate_prov_));
   }
-  // LoadState defaults every record to alive; the max-df cap tracks the
-  // live count, which only the pipeline's tombstone set knows.
-  pipeline->token_index_.SetNumLive(n - pipeline->num_dead_);
-
-  GRALMATCH_RETURN_NOT_OK(reader->ReadString(&pipeline->fingerprint_));
-  GRALMATCH_RETURN_NOT_OK(
-      ReadPairValues(reader, n, &pipeline->candidate_prov_));
   ScoreList scores;
   GRALMATCH_RETURN_NOT_OK(ReadScoreList(reader, n, &scores));
   pipeline->score_cache_.reserve(scores.size());
@@ -520,10 +503,39 @@ Result<std::unique_ptr<IncrementalPipeline>> IncrementalPipeline::Deserialize(
 
   GRALMATCH_RETURN_NOT_OK(ReadMatcherCounters(
       reader, &pipeline->total_matcher_calls_, &pipeline->total_cache_hits_));
-  GRALMATCH_RETURN_NOT_OK(reader->ReadDouble(&pipeline->scoring_seconds_total_));
-  GRALMATCH_RETURN_NOT_OK(reader->ReadDouble(&pipeline->cleanup_seconds_total_));
+  if (version < 3) {
+    // Legacy images close with two cumulative wall-clock doubles, which no
+    // state depends on.
+    GRALMATCH_RETURN_NOT_OK(SkipLegacyWallClock(reader));
+  }
   GRALMATCH_RETURN_NOT_OK(pipeline->FinishRestore(/*rebuild_blocking=*/false));
   return pipeline;
+}
+
+void IncrementalPipeline::SaveBlockingState(BinaryWriter* writer) const {
+  id_index_.SaveState(writer);
+  token_index_.SaveState(writer);
+  WritePairValues(candidate_prov_, writer);
+}
+
+Status IncrementalPipeline::LoadBlockingState(BinaryReader* reader) {
+  GRALMATCH_RETURN_NOT_OK(LoadIndexStates(reader));
+  return ReadPairValues(reader, records_.size(), &candidate_prov_);
+}
+
+Status IncrementalPipeline::LoadIndexStates(BinaryReader* reader) {
+  // An enabled blocker's index covers every record; a disabled one never
+  // sees a record, so it must be empty.
+  const size_t n = records_.size();
+  GRALMATCH_RETURN_NOT_OK(id_index_.LoadState(reader));
+  GRALMATCH_RETURN_NOT_OK(token_index_.LoadState(reader));
+  if (id_index_.num_records() != (config_.use_id_blocker ? n : 0) ||
+      token_index_.num_records() != (config_.use_token_blocker ? n : 0)) {
+    return Status::IOError(
+        "corrupted checkpoint: blocking index record counts disagree with "
+        "the record table and the enabled blockers");
+  }
+  return Status::OK();
 }
 
 Status IncrementalPipeline::FinishRestore(bool rebuild_blocking) {
@@ -548,6 +560,10 @@ Status IncrementalPipeline::FinishRestore(bool rebuild_blocking) {
         candidate_prov_[pair] |= kBlockerTokenOverlap;
       }
     }
+  } else {
+    // LoadState defaults every record to alive; the max-df cap tracks the
+    // live count, which only the pipeline's tombstone set knows.
+    token_index_.SetNumLive(n - num_dead_);
   }
 
   // Every loaded pair passed the shared pair codec (canonical, in range)

@@ -27,8 +27,9 @@
 /// Snapshot() — groups, predicted pairs, pre-cleanup components and all
 /// cleanup counters — is identical to EntityGroupPipeline::Run on the union
 /// of all batches with the same blockers and matcher, at any num_threads.
-/// Only the wall-clock fields differ in meaning: Snapshot() reports times
-/// accumulated across ingests.
+/// Snapshot() leaves the wall-clock fields at 0: per-mutation times are in
+/// each IngestReport, and cumulative ones would make two runs of one
+/// schedule differ.
 ///
 /// Schedule-equivalence contract (same suite): the contract survives
 /// deletions. Records are tombstoned, never recycled —
@@ -153,7 +154,7 @@ class IncrementalPipeline {
 
   /// Current result, identical to a from-scratch EntityGroupPipeline::Run
   /// on the surviving (non-tombstoned) records (see file comment).
-  /// Wall-clock fields report times accumulated across all ingests. Returns
+  /// The wall-clock fields are 0 (see file comment). Returns
   /// the poison error after an aborted ingest. Costs one copy of the sorted
   /// positive set plus one ascending scan over the records; only component
   /// and group heads are sorted (GroupStore::FillSnapshot). Each successful
@@ -204,18 +205,18 @@ class IncrementalPipeline {
   /// Deserialize()->Snapshot() is bitwise-identical to Snapshot() here and
   /// further Ingest() calls behave exactly as they would have on this
   /// instance. Map-backed state is written in sorted key order, so equal
-  /// logical states serialize to equal bytes. Framing (magic, version,
-  /// checksum) is the caller's job; see serve/checkpoint.h. The tombstone
-  /// section is written only when some record is dead — a tombstone-free
-  /// pipeline emits the pre-tombstone (version 1) byte layout, so the
-  /// framing version is a pure function of this state: see
-  /// serve/checkpoint.h's version stamping. Returns the poison error after
-  /// an aborted ingest (a poisoned state must never become a checkpoint).
+  /// logical states serialize to equal bytes, and no wall-clock value is
+  /// stored, so two runs of one schedule write equal bytes too. Framing
+  /// (magic, version, checksum) is the caller's job; see
+  /// serve/checkpoint.h. The layout is format version 3. Returns the
+  /// poison error after an aborted ingest (a poisoned state must never
+  /// become a checkpoint).
   Status Serialize(BinaryWriter* writer) const;
 
   /// Rebuild a pipeline from Serialize() output. `version` is the framed
   /// format version the caller parsed (1 = pre-tombstone layout, 2 = with
-  /// the tombstone section). `num_threads_override` replaces the serialized
+  /// the tombstone section, 3 = the current layout, docs/formats.md).
+  /// `num_threads_override` replaces the serialized
   /// thread count when nonzero (thread count never affects results, only
   /// scheduling). Returns a clean error on truncated or inconsistent input.
   static Result<std::unique_ptr<IncrementalPipeline>> Deserialize(
@@ -226,13 +227,28 @@ class IncrementalPipeline {
   /// state from shard files and finishes through FinishRestore.
   friend class ShardedPipeline;
 
+  /// The blocking-state section of both version 3 layouts (the image body
+  /// and the sharded manifest body): both index states, then the
+  /// candidate provenance. Load expects the record table in place; an
+  /// enabled blocker's index must cover every record and a disabled one's
+  /// must be empty. FinishRestore(/*rebuild_blocking=*/false) then checks
+  /// the provenance against the indexes' pair sets.
+  void SaveBlockingState(BinaryWriter* writer) const;
+  Status LoadBlockingState(BinaryReader* reader);
+  /// The index half of LoadBlockingState. Legacy (version 1 and 2) images
+  /// store the fingerprint between the index states and the provenance.
+  Status LoadIndexStates(BinaryReader* reader);
+
   /// The engine-side end of both checkpoint loaders. Expects records,
   /// tombstones, fingerprint, score cache, positives (strictly ascending),
   /// components and counters in place, and rebuilds the per-record cached
-  /// partner lists from the score cache. With `rebuild_blocking` the blocking indexes are
-  /// rebuilt from (records, tombstones) — their state is a pure function of
-  /// the two — and the candidate provenance is derived from them; otherwise
-  /// both must already be loaded. Then re-verifies every cross-field
+  /// partner lists from the score cache. With `rebuild_blocking` (legacy
+  /// version 1 and 2 directories, which store no index state) the blocking
+  /// indexes are rebuilt from (records, tombstones) — their state is a pure
+  /// function of the two — and the candidate provenance is derived from
+  /// them; otherwise both must already be loaded, and the token index's
+  /// live count is restored from the tombstones. Then re-verifies every
+  /// cross-field
   /// invariant the mutation path dereferences unchecked: candidate,
   /// cached and positive pairs live (the pair codec already checked them
   /// canonical and in range), every candidate scored
@@ -298,8 +314,6 @@ class IncrementalPipeline {
 
   size_t total_matcher_calls_ = 0;
   size_t total_cache_hits_ = 0;
-  double scoring_seconds_total_ = 0.0;
-  double cleanup_seconds_total_ = 0.0;
 };
 
 // ---------------------------------------------------------------------------
@@ -330,6 +344,11 @@ void WriteScoreList(ScoreList scores, BinaryWriter* writer);
 /// [0, num_records), strictly ascending).
 Status ReadScoreList(BinaryReader* reader, size_t num_records,
                      ScoreList* scores);
+
+/// Consume the two cumulative wall-clock doubles (scoring, then cleanup
+/// seconds) that close a legacy version 1 or 2 image body or manifest
+/// body. Version 3 stores no wall clock.
+Status SkipLegacyWallClock(BinaryReader* reader);
 
 /// The cumulative matcher-call and cache-hit counters, two u64s.
 void WriteMatcherCounters(size_t matcher_calls, size_t cache_hits,

@@ -10,14 +10,14 @@
 //
 // Inertness half: the differential contract that makes instrumentation
 // safe to wire anywhere. An instrumented pipeline run — metrics recording
-// live into a registry — must produce identical snapshots and serialized
-// state byte-identical outside the two trailing cumulative wall-clock
-// doubles (which differ between any two runs, instrumented or not) to an
-// uninstrumented run of the same schedule, on both the
-// financial-securities and WDC-products fixtures, across thread counts
-// and shard counts. A pipeline restored from a checkpoint
-// must come back uninstrumented (the registry pointer never enters
-// checkpoint bytes) until explicitly re-wired with set_metrics().
+// live into a registry — must produce identical snapshots and
+// byte-identical serialized state to an uninstrumented run of the same
+// schedule, on both the financial-securities and WDC-products fixtures,
+// across thread counts and shard counts. A pipeline restored from a
+// checkpoint must come back uninstrumented (the registry pointer never
+// enters checkpoint bytes) until explicitly re-wired with set_metrics().
+// The phase histograms of one mutation are disjoint spans inside
+// pipeline_mutation_seconds.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +25,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -293,29 +294,16 @@ void ExpectSameSnapshot(const PipelineResult& a, const PipelineResult& b) {
   EXPECT_EQ(a.pre_cleanup_components, b.pre_cleanup_components);
 }
 
-/// Byte size of the cumulative wall-clock totals (two doubles: scoring and
-/// cleanup seconds) that close both the incremental body and the sharded
-/// manifest body. They are run-dependent even between two uninstrumented
-/// runs of the same schedule, so the differential excises exactly them;
-/// everything before must be bitwise-identical.
-constexpr size_t kWallClockTrailerBytes = 2 * sizeof(double);
-
-std::string DeterministicBody(const IncrementalPipeline& pipeline) {
+std::string Body(const IncrementalPipeline& pipeline) {
   BinaryWriter writer;
   EXPECT_TRUE(pipeline.Serialize(&writer).ok());
-  std::string body = writer.buffer();
-  EXPECT_GE(body.size(), kWallClockTrailerBytes);
-  body.resize(body.size() - kWallClockTrailerBytes);
-  return body;
+  return writer.buffer();
 }
 
-std::string DeterministicManifest(const ShardedPipeline& pipeline) {
+std::string ManifestBody(const ShardedPipeline& pipeline) {
   BinaryWriter writer;
   EXPECT_TRUE(pipeline.SerializeManifestBody(&writer).ok());
-  std::string body = writer.buffer();
-  EXPECT_GE(body.size(), kWallClockTrailerBytes);
-  body.resize(body.size() - kWallClockTrailerBytes);
-  return body;
+  return writer.buffer();
 }
 
 TEST(ObsInertnessTest, InstrumentedIncrementalRunIsBitwiseIdentical) {
@@ -341,11 +329,11 @@ TEST(ObsInertnessTest, InstrumentedIncrementalRunIsBitwiseIdentical) {
       EXPECT_GT(
           registry.GetHistogram("pipeline_scoring_seconds")->TotalCount(), 0u);
       // ...and changed nothing: identical snapshots and byte-identical
-      // serialized state outside the wall-clock trailer (which also proves
-      // no registry state leaked into the serialized config).
+      // serialized state (which also proves no registry state leaked into
+      // the serialized config).
       ExpectSameSnapshot(on.Snapshot().ValueOrDie(),
                          off.Snapshot().ValueOrDie());
-      EXPECT_EQ(DeterministicBody(on), DeterministicBody(off));
+      EXPECT_EQ(Body(on), Body(off));
     }
   }
 }
@@ -378,8 +366,7 @@ TEST(ObsInertnessTest, InstrumentedShardedRunIsBitwiseIdentical) {
       ExpectSameSnapshot(on.Snapshot().ValueOrDie(),
                          off.Snapshot().ValueOrDie());
 
-      EXPECT_EQ(DeterministicManifest(on), DeterministicManifest(off));
-      // Shard bodies carry no wall-clock state at all: full bitwise.
+      EXPECT_EQ(ManifestBody(on), ManifestBody(off));
       std::vector<BinaryWriter> on_shards, off_shards;
       ASSERT_TRUE(on.SerializeShardBodies(&on_shards).ok());
       ASSERT_TRUE(off.SerializeShardBodies(&off_shards).ok());
@@ -415,7 +402,7 @@ TEST(ObsInertnessTest, EverySnapshotIsOneObservationAndChangesNoByte) {
     ExpectSameSnapshot(on.Snapshot().ValueOrDie(), reference);
     EXPECT_EQ(snapshots->TotalCount(), calls);
   }
-  EXPECT_EQ(DeterministicBody(on), DeterministicBody(off));
+  EXPECT_EQ(Body(on), Body(off));
 
   // The sharded layer snapshots through the engine: one observation too.
   ShardedPipelineConfig sharded_config;
@@ -426,6 +413,78 @@ TEST(ObsInertnessTest, EverySnapshotIsOneObservationAndChangesNoByte) {
   const uint64_t before = snapshots->TotalCount();
   ExpectSameSnapshot(sharded.Snapshot().ValueOrDie(), reference);
   EXPECT_EQ(snapshots->TotalCount(), before + 1);
+}
+
+/// The phase histograms' sums, and the mutation span's.
+struct PhaseSums {
+  double phases = 0.0;
+  double mutation = 0.0;
+};
+
+PhaseSums ReadPhaseSums(MetricsRegistry* registry) {
+  PhaseSums sums;
+  for (const char* phase :
+       {"pipeline_blocking_seconds", "pipeline_scoring_seconds",
+        "pipeline_cleanup_seconds"}) {
+    sums.phases += registry->GetHistogram(phase)->SumSeconds();
+  }
+  sums.mutation =
+      registry->GetHistogram("pipeline_mutation_seconds")->SumSeconds();
+  return sums;
+}
+
+/// Ingest, remove and update through `pipeline`, wired to `registry`. After
+/// every mutation, each phase histogram and the mutation span hold one more
+/// observation, and the mutation's phase times sum to at most its span: the
+/// three phases are disjoint stopwatches inside it.
+template <typename Pipeline>
+void ExpectPhasesWithinEachMutation(Pipeline* pipeline,
+                                    MetricsRegistry* registry) {
+  JaccardMatcher matcher;
+  const std::vector<Record> records = FinancialRecords();
+  std::vector<RecordUpdate> update(1);
+  update[0].id = 2;
+  update[0].record = records[5];
+  const std::vector<Record> first = testing_support::Slice(records, 0, 60);
+  const std::vector<Record> rest =
+      testing_support::Slice(records, 60, records.size());
+  const std::vector<std::function<Result<IngestReport>()>> mutations = {
+      [&] { return pipeline->Ingest(first, matcher); },
+      [&] { return pipeline->Ingest(rest, matcher); },
+      [&] { return pipeline->Remove({1, 4, 9}, matcher); },
+      [&] { return pipeline->Update(update, matcher); },
+  };
+  for (size_t k = 0; k < mutations.size(); ++k) {
+    SCOPED_TRACE("mutation " + std::to_string(k));
+    const PhaseSums before = ReadPhaseSums(registry);
+    ASSERT_TRUE(mutations[k]().ok());
+    const PhaseSums after = ReadPhaseSums(registry);
+    for (const char* name :
+         {"pipeline_mutation_seconds", "pipeline_blocking_seconds",
+          "pipeline_scoring_seconds", "pipeline_cleanup_seconds"}) {
+      EXPECT_EQ(registry->GetHistogram(name)->TotalCount(), k + 1) << name;
+    }
+    EXPECT_GT(after.mutation - before.mutation, 0.0);
+    EXPECT_LE(after.phases - before.phases, after.mutation - before.mutation);
+  }
+}
+
+TEST(ObsPhaseTest, IncrementalPhasesAreDisjointInsideTheMutationSpan) {
+  MetricsRegistry registry;
+  IncrementalPipelineConfig config = StreamConfig(2);
+  config.pipeline.metrics = &registry;
+  IncrementalPipeline pipeline(config);
+  ExpectPhasesWithinEachMutation(&pipeline, &registry);
+}
+
+TEST(ObsPhaseTest, ShardedPhasesAreDisjointInsideTheMutationSpan) {
+  MetricsRegistry registry;
+  ShardedPipelineConfig config;
+  config.base = StreamConfig(2);
+  config.base.pipeline.metrics = &registry;
+  config.num_shards = 2;
+  ShardedPipeline pipeline(config);
+  ExpectPhasesWithinEachMutation(&pipeline, &registry);
 }
 
 TEST(ObsInertnessTest, RestoredPipelineIsUninstrumentedUntilRewired) {

@@ -32,6 +32,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -52,13 +53,13 @@ using testing_support::DecodeU64;
 using testing_support::EncodeI32;
 using testing_support::EncodeU64;
 using testing_support::EqualBatches;
-using testing_support::ExpectBitwiseIdentical;
 using testing_support::ExpectEqualReports;
 using testing_support::ExpectEquivalent;
 using testing_support::FramingFile;
 using testing_support::JaccardMatcher;
 using testing_support::LayoutPipeline;
 using testing_support::ReadFileBytes;
+using testing_support::RewriteFramingFile;
 using testing_support::RewriteStateFile;
 using testing_support::RunBatchReference;
 using testing_support::Slice;
@@ -1014,8 +1015,8 @@ void ExpectSameCheckpoint(const Instance& in, const std::string& a,
 }
 
 void CheckpointRoundTrip(const Instance& in) {
-  // Mid-stream and end-of-stream checkpoints restore bitwise, wall-clock
-  // bits and counters included.
+  // Mid-stream and end-of-stream checkpoints restore bitwise, counters
+  // included.
   const std::vector<Record>& records = Records(in.fixture);
   JaccardMatcher matcher;
   auto pipeline = MakePipeline(in);
@@ -1029,8 +1030,8 @@ void CheckpointRoundTrip(const Instance& in) {
     ASSERT_NE(restored, nullptr);
     EXPECT_EQ(restored->config().pipeline.num_threads,
               OtherThreadCount(in.threads));
-    ExpectBitwiseIdentical(restored->Snapshot().ValueOrDie(),
-                           pipeline->Snapshot().ValueOrDie(), context);
+    ExpectEquivalent(restored->Snapshot().ValueOrDie(),
+                     pipeline->Snapshot().ValueOrDie(), context);
     EXPECT_EQ(restored->records().size(), pipeline->records().size());
     EXPECT_EQ(restored->total_matcher_calls(), pipeline->total_matcher_calls());
     EXPECT_EQ(restored->total_cache_hits(), pipeline->total_cache_hits());
@@ -1063,6 +1064,22 @@ void SerializationIsDeterministic(const Instance& in) {
   ExpectSameCheckpoint(in, first.path(), resaved.path(), "re-saved");
 }
 
+void TwoRunsWriteIdenticalCheckpoints(const Instance& in) {
+  // Nothing that differs between two runs (wall clock, hash-map order,
+  // thread timing) reaches a checkpoint: two runs of one CRUD schedule
+  // write identical files, content-addressed shard-file names included.
+  const CrudSchedule schedule = MakeSchedule(Pool(in.fixture), 31, 8);
+  JaccardMatcher matcher;
+  TempCheckpoint first(in, "run1");
+  TempCheckpoint second(in, "run2");
+  for (const std::string& path : {first.path(), second.path()}) {
+    auto pipeline = MakePipeline(in);
+    RunCrudSchedule(pipeline.get(), schedule, matcher, path);
+    ASSERT_TRUE(pipeline->Save(path).ok());
+  }
+  ExpectSameCheckpoint(in, first.path(), second.path(), "two runs");
+}
+
 void SaveLeavesNoStagingFiles(const Instance& in) {
   // Files are published by rename; no staging file may linger next to the
   // image or inside the directory.
@@ -1073,8 +1090,8 @@ void SaveLeavesNoStagingFiles(const Instance& in) {
   TempCheckpoint checkpoint(in, "file");
   auto restored = Reload(*pipeline, matcher, checkpoint.path());
   ASSERT_NE(restored, nullptr);
-  ExpectBitwiseIdentical(restored->Snapshot().ValueOrDie(),
-                         pipeline->Snapshot().ValueOrDie(), "file");
+  ExpectEquivalent(restored->Snapshot().ValueOrDie(),
+                   pipeline->Snapshot().ValueOrDie(), "file");
   const std::filesystem::path path(checkpoint.path());
   const std::filesystem::path dir =
       in.shards == 0 ? path.parent_path() : path;
@@ -1140,8 +1157,8 @@ void EmptyRoundTrip(const Instance& in) {
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ((*restored)->records().size(), 0u);
   EXPECT_TRUE((*restored)->fingerprint().empty());
-  ExpectBitwiseIdentical((*restored)->Snapshot().ValueOrDie(),
-                         pipeline->Snapshot().ValueOrDie(), "empty");
+  ExpectEquivalent((*restored)->Snapshot().ValueOrDie(),
+                   pipeline->Snapshot().ValueOrDie(), "empty");
 }
 
 void OneBlockerRoundTrip(const Instance& in) {
@@ -1162,8 +1179,8 @@ void OneBlockerRoundTrip(const Instance& in) {
     TempCheckpoint resaved(in, id_only ? "id_only_2" : "token_only_2");
     auto restored = Reload(pipeline, matcher, checkpoint.path());
     ASSERT_NE(restored, nullptr) << context;
-    ExpectBitwiseIdentical(restored->Snapshot().ValueOrDie(),
-                           pipeline.Snapshot().ValueOrDie(), context);
+    ExpectEquivalent(restored->Snapshot().ValueOrDie(),
+                     pipeline.Snapshot().ValueOrDie(), context);
     ASSERT_TRUE(restored->Save(resaved.path()).ok()) << context;
     ExpectSameCheckpoint(in, checkpoint.path(), resaved.path(), context);
 
@@ -1175,6 +1192,12 @@ void OneBlockerRoundTrip(const Instance& in) {
     ExpectEquivalent(restored->Snapshot().ValueOrDie(),
                      pipeline.Snapshot().ValueOrDie(), context);
   }
+}
+
+/// The version every file of a checkpoint of layout `in.shards` carries.
+int CurrentVersion(const Instance& in) {
+  return static_cast<int>(in.shards == 0 ? kCheckpointVersion
+                                         : kShardedCheckpointVersion);
 }
 
 /// Format version stamped at byte 8 of a checkpoint file.
@@ -1193,15 +1216,17 @@ std::vector<int> Versions(const Instance& in, const std::string& path) {
 }
 
 void TombstonesRoundTrip(const Instance& in) {
-  // Tombstone-free checkpoints stamp version 1 in every file, so older
-  // readers keep loading them; the first removal moves them to version 2.
+  // Every file of a checkpoint carries the current version, before and
+  // after the first removal; the tombstones survive the round trip.
   const std::vector<Record>& pool = Pool(in.fixture);
   JaccardMatcher matcher;
   auto pipeline = MakePipeline(in);
   ASSERT_TRUE(pipeline->Ingest(pool, matcher).ok());
   TempCheckpoint clean(in, "clean");
   ASSERT_TRUE(pipeline->Save(clean.path()).ok());
-  for (int version : Versions(in, clean.path())) EXPECT_EQ(version, 1);
+  for (int version : Versions(in, clean.path())) {
+    EXPECT_EQ(version, CurrentVersion(in));
+  }
 
   std::vector<RecordId> doomed;
   for (size_t i = 0; i < pool.size(); i += 3) {
@@ -1212,7 +1237,9 @@ void TombstonesRoundTrip(const Instance& in) {
   TempCheckpoint resaved(in, "resaved");
   auto restored = Reload(*pipeline, matcher, tombstoned.path());
   ASSERT_NE(restored, nullptr);
-  for (int version : Versions(in, tombstoned.path())) EXPECT_EQ(version, 2);
+  for (int version : Versions(in, tombstoned.path())) {
+    EXPECT_EQ(version, CurrentVersion(in));
+  }
   EXPECT_EQ(restored->num_dead(), doomed.size());
   EXPECT_EQ(restored->alive(), pipeline->alive());
   ExpectEquivalent(restored->Snapshot().ValueOrDie(),
@@ -1341,8 +1368,7 @@ void EvictionCountsSurviveRestore(const Instance& in) {
 // directory (layout 2). Every case must fail cleanly, never crash.
 // ---------------------------------------------------------------------------
 
-/// Removed from the tombstoned fixture. In the image, their section (u64
-/// count 3, i32 ids 11, 22, 33) is a byte pattern that occurs once.
+/// Removed from the tombstoned fixture.
 const std::vector<RecordId> kDoomed = {11, 22, 33};
 
 /// Save the financial pool (three batches, one thread) in the instance's
@@ -1363,9 +1389,99 @@ Status LoadStatus(const Instance& in, const std::string& path,
   return LayoutPipeline::Load(in.shards, path, matcher).status();
 }
 
+// Checkpoint layouts, as far as the cases below patch them
+// (docs/formats.md). Strings and id lists are u64-length-prefixed.
+
+/// The pipeline config section: eight u64/f64 fields and two u8 flags.
+constexpr size_t kConfigBytes = 8 * 8 + 2;
+
+size_t SkipString(const std::string& bytes, size_t pos) {
+  return pos + 8 + static_cast<size_t>(DecodeU64(bytes, pos));
+}
+
+/// A u64 count, then `entry_bytes` per entry.
+size_t SkipList(const std::string& bytes, size_t pos, size_t entry_bytes) {
+  return pos + 8 + entry_bytes * static_cast<size_t>(DecodeU64(bytes, pos));
+}
+
+/// A record list: u64 count, then per record (shard files: its global id
+/// first) the i32 source, u8 kind and u64-counted name/value strings.
+size_t SkipRecords(const std::string& bytes, size_t pos, bool with_ids) {
+  const uint64_t count = DecodeU64(bytes, pos);
+  pos += 8;
+  for (uint64_t k = 0; k < count; ++k) {
+    pos += (with_ids ? 4 : 0) + 4 + 1;
+    const uint64_t num_attrs = DecodeU64(bytes, pos);
+    pos += 8;
+    for (uint64_t a = 0; a < 2 * num_attrs; ++a) pos = SkipString(bytes, pos);
+  }
+  return pos;
+}
+
+/// Offset of an image's tombstone section: magic 8, version 4, the
+/// fingerprint, the u64 body length, then the body's config and records.
+size_t ImageTombstones(const std::string& image) {
+  return SkipRecords(image, SkipString(image, 12) + 8 + kConfigBytes, false);
+}
+
+/// Offset of the blocking-state section in a framing file. In the image it
+/// follows the tombstones and the body's copy of the fingerprint; in the
+/// manifest the S shard checksums, then the body's config, shard count,
+/// router seed, fingerprint, record count and next component id.
+size_t BlockingStateOffset(const Instance& in, const std::string& bytes) {
+  if (in.shards == 0) {
+    return SkipString(bytes, SkipList(bytes, ImageTombstones(bytes), 4));
+  }
+  const size_t body = SkipList(bytes, SkipString(bytes, 12), 8) + 8;
+  return SkipString(bytes, body + kConfigBytes + 16) + 8 + 4;
+}
+
+/// Byte offsets inside the blocking-state section.
+struct BlockingSections {
+  size_t id_records = 0;  // the ID index's u64 record count
+  size_t postings = 0;    // the first token postings list of >= 2 holders
+  size_t provenance = 0;  // u64 count, then per entry i32 a, i32 b, u32 bits
+  size_t end = 0;
+};
+
+BlockingSections ParseBlockingState(const std::string& bytes, size_t pos) {
+  BlockingSections sections;
+  // ID index: max bucket, record count, (value, holders) buckets,
+  // refcounts.
+  sections.id_records = pos + 8;
+  pos += 16;
+  const uint64_t buckets = DecodeU64(bytes, pos);
+  pos += 8;
+  for (uint64_t k = 0; k < buckets; ++k) {
+    pos = SkipList(bytes, SkipString(bytes, pos), 4);
+  }
+  pos = SkipList(bytes, pos, 12);
+  // Token index: top_n, min_overlap, max_token_df, record count, max df,
+  // (text, df, postings) tokens, per-record token rows, kept-list rows,
+  // refcounts.
+  pos += 8 + 8 + 8 + 8 + 4;
+  const uint64_t tokens = DecodeU64(bytes, pos);
+  pos += 8;
+  for (uint64_t k = 0; k < tokens; ++k) {
+    pos = SkipString(bytes, pos) + 4;
+    if (sections.postings == 0 && DecodeU64(bytes, pos) >= 2) {
+      sections.postings = pos;
+    }
+    pos = SkipList(bytes, pos, 4);
+  }
+  for (int table = 0; table < 2; ++table) {
+    const uint64_t rows = DecodeU64(bytes, pos);
+    pos += 8;
+    for (uint64_t r = 0; r < rows; ++r) pos = SkipList(bytes, pos, 4);
+  }
+  sections.provenance = SkipList(bytes, pos, 12);
+  sections.end = SkipList(bytes, sections.provenance, 12);
+  return sections;
+}
+
 /// Byte offsets of the tombstone and score sections inside one state file.
 struct Sections {
-  size_t tombstones = 0;  // u64 count, then the ids (version 2 only)
+  size_t tombstones = 0;  // u64 count, then the ids
   std::vector<int32_t> dead;
   size_t scores = 0;  // u64 count, then per entry i32 a, i32 b, f64
   uint64_t num_scores = 0;
@@ -1374,53 +1490,20 @@ struct Sections {
 Sections Locate(const Instance& in, const std::string& file) {
   const std::string bytes = ReadFileBytes(file);
   Sections sections;
-  const bool has_tombstones = bytes[8] >= 2;
-  if (in.shards == 0) {
-    // Image: the tombstone section is the kDoomed pattern; the score list
-    // follows the body's copy of the fingerprint and the candidate
-    // provenance list (12 bytes per entry).
-    if (has_tombstones) {
-      std::string pattern = EncodeU64(kDoomed.size());
-      for (RecordId id : kDoomed) pattern += EncodeI32(id);
-      sections.tombstones = bytes.find(pattern);
-      EXPECT_NE(sections.tombstones, std::string::npos);
-      EXPECT_EQ(bytes.find(pattern, sections.tombstones + 1),
-                std::string::npos)
-          << "tombstone pattern is not unique";
-      sections.dead.assign(kDoomed.begin(), kDoomed.end());
-    }
-    const size_t fingerprint_length = static_cast<size_t>(DecodeU64(bytes, 12));
-    const std::string fingerprint =
-        bytes.substr(0, 20 + fingerprint_length).substr(12);
-    size_t pos = bytes.find(fingerprint, 20 + fingerprint_length) +
-                 fingerprint.size();
-    pos += 8 + 12 * static_cast<size_t>(DecodeU64(bytes, pos));
-    sections.scores = pos;
-  } else {
-    // Shard file: magic 8, version 4, shard index 4, body length 8, then
-    // the records (global id, source, kind, attributes), the tombstones,
-    // the scores.
-    size_t pos = 24;
-    const uint64_t num_records = DecodeU64(bytes, pos);
-    pos += 8;
-    for (uint64_t k = 0; k < num_records; ++k) {
-      pos += 4 + 4 + 1;
-      const uint64_t num_attrs = DecodeU64(bytes, pos);
-      pos += 8;
-      for (uint64_t a = 0; a < 2 * num_attrs; ++a) {
-        pos += 8 + static_cast<size_t>(DecodeU64(bytes, pos));
-      }
-    }
-    if (has_tombstones) {
-      sections.tombstones = pos;
-      const uint64_t num_dead = DecodeU64(bytes, pos);
-      pos += 8;
-      for (uint64_t k = 0; k < num_dead; ++k, pos += 4) {
-        sections.dead.push_back(DecodeI32(bytes, pos));
-      }
-    }
-    sections.scores = pos;
+  // Image: the tombstones follow the records, the score list the blocking
+  // state. Shard file: magic 8, version 4, shard index 4, body length 8,
+  // then the records with their global ids, the tombstones, the scores.
+  sections.tombstones =
+      in.shards == 0 ? ImageTombstones(bytes) : SkipRecords(bytes, 24, true);
+  const uint64_t num_dead = DecodeU64(bytes, sections.tombstones);
+  for (uint64_t k = 0; k < num_dead; ++k) {
+    sections.dead.push_back(
+        DecodeI32(bytes, sections.tombstones + 8 + 4 * static_cast<size_t>(k)));
   }
+  sections.scores =
+      in.shards == 0
+          ? ParseBlockingState(bytes, BlockingStateOffset(in, bytes)).end
+          : SkipList(bytes, sections.tombstones, 4);
   sections.num_scores = DecodeU64(bytes, sections.scores);
   return sections;
 }
@@ -1580,13 +1663,15 @@ void MissingCheckpoint(const Instance& in) {
   EXPECT_EQ(status.code(), StatusCode::kIoError);
 }
 
-void TombstonedStampVersionTwo(const Instance& in) {
+void TombstonedStampCurrentVersion(const Instance& in) {
   // Every removed id is tombstoned in exactly one state file (its owner
   // shard's), and the checkpoint restores and re-saves identically.
   TempCheckpoint checkpoint(in, "stamp");
   TempCheckpoint resaved(in, "stamp_2");
   SaveFixture(in, true, checkpoint.path());
-  for (int version : Versions(in, checkpoint.path())) EXPECT_EQ(version, 2);
+  for (int version : Versions(in, checkpoint.path())) {
+    EXPECT_EQ(version, CurrentVersion(in));
+  }
   std::vector<int32_t> dead;
   for (const std::string& file : StateFiles(in.shards, checkpoint.path())) {
     const Sections sections = Locate(in, file);
@@ -1701,14 +1786,16 @@ void InvalidTombstones(const Instance& in) {
 }
 
 void PreTombstoneCheckpoints(const Instance& in) {
-  // A tombstone-free pipeline writes the version 1 layout byte for byte —
-  // what a pre-tombstone writer produced — and that checkpoint loads,
-  // re-saves identically, and accepts removals (restamping version 2).
+  // A checkpoint taken before any removal (an empty tombstone section)
+  // loads, re-saves identically, and accepts removals. Legacy images and
+  // directories are the checked-in fixtures' job (serve_test, shard_test).
   TempCheckpoint checkpoint(in, "v1");
   TempCheckpoint resaved(in, "v1_resaved");
   TempCheckpoint upgraded(in, "v1_upgraded");
   SaveFixture(in, false, checkpoint.path());
-  for (int version : Versions(in, checkpoint.path())) EXPECT_EQ(version, 1);
+  for (int version : Versions(in, checkpoint.path())) {
+    EXPECT_EQ(version, CurrentVersion(in));
+  }
   JaccardMatcher matcher;
   auto restored = LayoutPipeline::Load(in.shards, checkpoint.path(), matcher);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
@@ -1717,7 +1804,13 @@ void PreTombstoneCheckpoints(const Instance& in) {
   ExpectSameCheckpoint(in, checkpoint.path(), resaved.path(), "re-saved");
   ASSERT_TRUE((*restored)->Remove({0}, matcher).ok());
   ASSERT_TRUE((*restored)->Save(upgraded.path()).ok());
-  for (int version : Versions(in, upgraded.path())) EXPECT_EQ(version, 2);
+  for (int version : Versions(in, upgraded.path())) {
+    EXPECT_EQ(version, CurrentVersion(in));
+  }
+  auto upgraded_pipeline =
+      LayoutPipeline::Load(in.shards, upgraded.path(), matcher);
+  ASSERT_TRUE(upgraded_pipeline.ok()) << upgraded_pipeline.status().ToString();
+  EXPECT_EQ((*upgraded_pipeline)->num_dead(), 1u);
 }
 
 /// Rewrite the first cached score's pair as (first, second) of its
@@ -1762,17 +1855,17 @@ void SelfScorePair(const Instance& in) {
 
 void MixedVersion(const Instance& in) {
   // A version stamp that disagrees with the rest of the checkpoint, every
-  // checksum intact: a version 1 shard file under a version 2 manifest is a
-  // stale file; a version 1 stamp on a tombstoned image reads the
-  // tombstone section as index state.
+  // checksum intact: a version 2 shard file under a version 3 manifest is a
+  // stale file; a version 2 stamp on a version 3 image reads the
+  // fingerprint as index state.
   TempCheckpoint checkpoint(in, "mixed");
   SaveFixture(in, true, checkpoint.path());
   if (in.shards > 0) {
-    RewriteStateFile(in.shards, checkpoint.path(), 1, 8, 1, "\x01");
+    RewriteStateFile(in.shards, checkpoint.path(), 1, 8, 1, "\x02");
   } else {
     const std::string image = ReadFileBytes(checkpoint.path());
     WriteFileBytes(checkpoint.path(),
-                   WithFixedChecksum(image.substr(0, 8) + "\x01" +
+                   WithFixedChecksum(image.substr(0, 8) + "\x02" +
                                      image.substr(9)));
   }
   const Status status = LoadStatus(in, checkpoint.path());
@@ -1808,6 +1901,71 @@ void MisplacedScores(const Instance& in) {
   EXPECT_NE(status.message().find("cached score for a pair another shard owns"),
             std::string::npos)
       << status.ToString();
+}
+
+/// Save the tombstoned fixture, hand `patch` its framing file's bytes and
+/// parsed blocking state, apply the (position, length, replacement) it
+/// returns with the framing repaired, and expect the load to fail with an
+/// IOError naming `message`. The image and the manifest share the section,
+/// so both layouts reach the same decoder and checks.
+void ExpectPatchedBlockingStateRejected(
+    const Instance& in, const std::string& tag, const std::string& message,
+    const std::function<std::tuple<size_t, size_t, std::string>(
+        const std::string&, const BlockingSections&)>& patch) {
+  TempCheckpoint checkpoint(in, tag);
+  SaveFixture(in, true, checkpoint.path());
+  const std::string bytes =
+      ReadFileBytes(FramingFile(in.shards, checkpoint.path()));
+  const auto [pos, length, replacement] =
+      patch(bytes, ParseBlockingState(bytes, BlockingStateOffset(in, bytes)));
+  RewriteFramingFile(in.shards, checkpoint.path(), pos, length, replacement);
+  const Status status = LoadStatus(in, checkpoint.path());
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kIoError);
+  EXPECT_NE(status.message().find(message), std::string::npos)
+      << status.ToString();
+}
+
+void PostingsNotAscending(const Instance& in) {
+  // Two holders of one token swap places: removal binary-searches the
+  // postings, so the load must refuse them.
+  ExpectPatchedBlockingStateRejected(
+      in, "postings", "postings not ascending",
+      [](const std::string& bytes, const BlockingSections& sections) {
+        EXPECT_NE(sections.postings, 0u);
+        const size_t first = sections.postings + 8;
+        return std::make_tuple(first, size_t{8},
+                               bytes.substr(first + 4, 4) +
+                                   bytes.substr(first, 4));
+      });
+}
+
+void IndexRecordCountDisagrees(const Instance& in) {
+  // The ID index claims one record more than the record table holds.
+  ExpectPatchedBlockingStateRejected(
+      in, "index_count", "record counts disagree",
+      [](const std::string& bytes, const BlockingSections& sections) {
+        return std::make_tuple(
+            sections.id_records, size_t{8},
+            EncodeU64(DecodeU64(bytes, sections.id_records) + 1));
+      });
+}
+
+void IndexPairSetDisagreesWithProvenance(const Instance& in) {
+  // The first candidate's provenance bits name the other blocker (or drop
+  // one of two). They still name configured blockers and the pair keeps
+  // its score, so only comparing each index's pair set with the
+  // provenance can tell.
+  ExpectPatchedBlockingStateRejected(
+      in, "provenance", "pair set disagrees with the candidate provenance",
+      [](const std::string& bytes, const BlockingSections& sections) {
+        EXPECT_GT(DecodeU64(bytes, sections.provenance), 0u);
+        const size_t bits_at = sections.provenance + 8 + 8;
+        const uint32_t bits = static_cast<uint32_t>(DecodeI32(bytes, bits_at));
+        const uint32_t flipped = bits == 3 ? 1 : bits ^ 3;
+        return std::make_tuple(bits_at, size_t{4},
+                               EncodeI32(static_cast<int32_t>(flipped)));
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -1959,6 +2117,8 @@ bool RegisterAll() {
                      "ShardedCheckpointTest", "SerializationIsDeterministic",
                      "SerializationIsDeterministicOnWdcFixture",
                      SerializationIsDeterministic);
+  RegisterCrud("TwoRunsWriteIdenticalCheckpoints",
+               TwoRunsWriteIdenticalCheckpoints);
   RegisterCheckpoint("CheckpointTest", "FileRoundTripViaSaveAndLoad",
                      "FileRoundTripViaSaveAndLoadOnWdcFixture",
                      "ShardedCheckpointTest", "SaveLeavesNoStagingFiles",
@@ -2024,10 +2184,10 @@ bool RegisterAll() {
                      "ShardedCheckpointCorruptionTest",
                      "MissingDirectoryFailsCleanly", MissingCheckpoint);
   RegisterCorruption("TombstoneCheckpointCorruptionTest",
-                     "TombstonedImagesStampVersionTwo",
+                     "TombstonedImagesStampTheCurrentVersion",
                      "TombstoneShardedCheckpointTest",
-                     "TombstonedFilesStampVersionTwo",
-                     TombstonedStampVersionTwo);
+                     "TombstonedFilesStampTheCurrentVersion",
+                     TombstonedStampCurrentVersion);
   RegisterCorruption("TombstoneCheckpointCorruptionTest",
                      "TruncationAtAnyPrefixFailsCleanly",
                      "TombstoneShardedCheckpointTest",
@@ -2058,6 +2218,21 @@ bool RegisterAll() {
                      "MixedVersionShardFilesRejected", MixedVersion);
   RegisterCorruption(nullptr, nullptr, "ShardedCheckpointCorruptionTest",
                      "MisplacedScoresRejected", MisplacedScores);
+  RegisterCorruption("BlockingStateCorruptionTest",
+                     "ImagePostingsNotAscendingRejected",
+                     "BlockingStateCorruptionTest",
+                     "DirectoryPostingsNotAscendingRejected",
+                     PostingsNotAscending);
+  RegisterCorruption("BlockingStateCorruptionTest",
+                     "ImageIndexRecordCountMismatchRejected",
+                     "BlockingStateCorruptionTest",
+                     "DirectoryIndexRecordCountMismatchRejected",
+                     IndexRecordCountDisagrees);
+  RegisterCorruption("BlockingStateCorruptionTest",
+                     "ImageIndexPairSetMismatchRejected",
+                     "BlockingStateCorruptionTest",
+                     "DirectoryIndexPairSetMismatchRejected",
+                     IndexPairSetDisagreesWithProvenance);
   return true;
 }
 

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -110,35 +111,69 @@ TEST(CheckpointTest, ConcurrentSaversToOnePathNeverTearTheFile) {
 // Images written by an earlier build (tests/data/checkpoints/README.md)
 // ---------------------------------------------------------------------------
 
-/// Load a checked-in image, check it against the from-scratch reference on
-/// its survivors and the counters it was written with, and re-serialize it:
-/// the writer must reproduce the file byte for byte.
-void ExpectCheckedInImageLoads(const std::string& name, char version,
-                               size_t num_dead, size_t matcher_calls) {
-  auto image = ReadWholeFile(std::string(GRALMATCH_CHECKPOINT_FIXTURES) +
-                             "/" + name);
-  ASSERT_TRUE(image.ok()) << image.status().ToString();
-  EXPECT_EQ((*image)[8], version);
+std::string FixtureImage(const std::string& name) {
+  return ReadWholeFile(std::string(GRALMATCH_CHECKPOINT_FIXTURES) + "/" + name)
+      .ValueOrDie();
+}
+
+/// Parse checked-in `image`, stamped `version`, and check it against the
+/// from-scratch reference on its survivors and the counters it was written
+/// with. Null (after a failure) when it does not load.
+std::unique_ptr<IncrementalPipeline> LoadPinned(const std::string& image,
+                                                const std::string& name,
+                                                char version, size_t num_dead,
+                                                size_t matcher_calls) {
+  EXPECT_EQ(image[8], version) << name;
   JaccardMatcher matcher;
-  auto loaded = ParseCheckpoint(*image, matcher);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  auto loaded = ParseCheckpoint(image, matcher);
+  EXPECT_TRUE(loaded.ok()) << name << ": " << loaded.status().ToString();
+  if (!loaded.ok()) return nullptr;
   const IncrementalPipeline& pipeline = **loaded;
-  EXPECT_EQ(pipeline.num_dead(), num_dead);
-  EXPECT_EQ(pipeline.total_matcher_calls(), matcher_calls);
-  EXPECT_EQ(pipeline.total_cache_hits(), 0u);
+  EXPECT_EQ(pipeline.num_dead(), num_dead) << name;
+  EXPECT_EQ(pipeline.total_matcher_calls(), matcher_calls) << name;
+  EXPECT_EQ(pipeline.total_cache_hits(), 0u) << name;
   ExpectEquivalent(pipeline.Snapshot().ValueOrDie(),
                    SurvivorReference(pipeline.records(), pipeline.alive(),
                                      pipeline.config(), matcher),
                    name);
-  EXPECT_EQ(SerializeCheckpoint(pipeline).ValueOrDie(), *image) << name;
+  return std::move(loaded).ValueOrDie();
+}
+
+/// A legacy image loads to its pinned snapshot, its re-save is version 3,
+/// and that re-save reloads to the same snapshot and re-saves byte for
+/// byte. Returns the re-save ("" after a failure).
+std::string ExpectLegacyImageUpgrades(const std::string& name, char version,
+                                      size_t num_dead, size_t matcher_calls) {
+  auto legacy =
+      LoadPinned(FixtureImage(name), name, version, num_dead, matcher_calls);
+  if (legacy == nullptr) return "";
+  const std::string resaved = SerializeCheckpoint(*legacy).ValueOrDie();
+  EXPECT_EQ(resaved[8], static_cast<char>(kCheckpointVersion)) << name;
+  JaccardMatcher matcher;
+  auto reloaded = ParseCheckpoint(resaved, matcher);
+  EXPECT_TRUE(reloaded.ok()) << name << ": " << reloaded.status().ToString();
+  if (!reloaded.ok()) return "";
+  ExpectEquivalent((*reloaded)->Snapshot().ValueOrDie(),
+                   legacy->Snapshot().ValueOrDie(), name + " re-saved");
+  EXPECT_EQ(SerializeCheckpoint(**reloaded).ValueOrDie(), resaved) << name;
+  return resaved;
 }
 
 TEST(CheckpointTest, CheckedInVersionOneImageLoads) {
-  ExpectCheckedInImageLoads("ingest_v1.grlm", 1, 0, 94);
+  ExpectLegacyImageUpgrades("ingest_v1.grlm", 1, 0, 94);
 }
 
 TEST(CheckpointTest, CheckedInVersionTwoImageLoads) {
-  ExpectCheckedInImageLoads("crud_v2.grlm", 2, 2, 95);
+  // crud_v3.grlm was written by the same schedule: the upgrade is exact.
+  EXPECT_EQ(ExpectLegacyImageUpgrades("crud_v2.grlm", 2, 2, 95),
+            FixtureImage("crud_v3.grlm"));
+}
+
+TEST(CheckpointTest, CheckedInVersionThreeImageLoads) {
+  const std::string image = FixtureImage("crud_v3.grlm");
+  auto pipeline = LoadPinned(image, "crud_v3.grlm", 3, 2, 95);
+  ASSERT_NE(pipeline, nullptr);
+  EXPECT_EQ(SerializeCheckpoint(*pipeline).ValueOrDie(), image);
 }
 
 // ---------------------------------------------------------------------------

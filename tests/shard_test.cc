@@ -1,14 +1,16 @@
 // What only the sharded layer has: the content-hash router, the shard-file
 // failure modes a single image cannot have (missing, swapped and stale
-// shard files, a save onto a regular file), and the sharded directory an
-// earlier build wrote. The sharded pipeline's equivalence and checkpoint
+// shard files, a save onto a regular file), and the sharded directories
+// earlier builds wrote. The sharded pipeline's equivalence and checkpoint
 // corruption cases run with every other layout in
 // pipeline_equivalence_test.cc.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,6 +22,7 @@
 namespace gralmatch {
 namespace {
 
+using testing_support::CheckpointFiles;
 using testing_support::ExpectEquivalent;
 using testing_support::FinancialRecords;
 using testing_support::JaccardMatcher;
@@ -190,18 +193,27 @@ TEST(ShardedCheckpointTest, SaveOntoARegularFilePathFailsCleanly) {
 }
 
 // ---------------------------------------------------------------------------
-// A sharded image written by an earlier build
+// Sharded directories written by earlier builds
 // (tests/data/checkpoints/README.md)
 // ---------------------------------------------------------------------------
 
-TEST(ShardedCheckpointFixtureTest, CheckedInVersionTwoDirectoryLoads) {
-  // That writer split the counters by owner shard (48 + 47 matcher calls);
-  // today's writer keeps the total in shard 0. The loader sums the slots,
-  // so the old split must restore the same total.
+std::string FixtureDir(const std::string& name) {
+  return std::string(GRALMATCH_CHECKPOINT_FIXTURES) + "/" + name;
+}
+
+/// Load checked-in directory `name`, whose files are stamped `version`, and
+/// check it against the from-scratch reference on its survivors and the
+/// counters the schedule pins. Null (after a failure) when it does not load.
+std::unique_ptr<ShardedPipeline> LoadPinned(const std::string& name,
+                                            int version) {
+  const std::string dir = FixtureDir(name);
+  for (const auto& [file, bytes] : CheckpointFiles(2, dir)) {
+    EXPECT_EQ(static_cast<int>(bytes.at(8)), version) << name << "/" << file;
+  }
   JaccardMatcher matcher;
-  auto loaded = LoadShardedCheckpoint(
-      std::string(GRALMATCH_CHECKPOINT_FIXTURES) + "/sharded_v2", matcher);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  auto loaded = LoadShardedCheckpoint(dir, matcher);
+  EXPECT_TRUE(loaded.ok()) << name << ": " << loaded.status().ToString();
+  if (!loaded.ok()) return nullptr;
   const ShardedPipeline& sharded = **loaded;
   EXPECT_EQ(sharded.num_shards(), 2u);
   EXPECT_EQ(sharded.records().size(), 81u);
@@ -209,11 +221,53 @@ TEST(ShardedCheckpointFixtureTest, CheckedInVersionTwoDirectoryLoads) {
   EXPECT_EQ(sharded.ShardRecordCount(0) + sharded.ShardRecordCount(1), 81u);
   EXPECT_EQ(sharded.total_matcher_calls(), 95u);
   EXPECT_EQ(sharded.total_cache_hits(), 0u);
-
   ExpectEquivalent(sharded.Snapshot().ValueOrDie(),
                    SurvivorReference(sharded.records(), sharded.alive(),
                                      sharded.config().base, matcher),
-                   "sharded_v2");
+                   name);
+  return std::move(loaded).ValueOrDie();
+}
+
+TEST(ShardedCheckpointFixtureTest, CheckedInVersionTwoDirectoryLoads) {
+  // That writer split the counters by owner shard (48 + 47 matcher calls);
+  // today's writer keeps the total in shard 0. The loader sums the slots,
+  // so the old split must restore the same total. A version 2 directory
+  // stores no index state, so this load also runs the rebuild.
+  auto legacy = LoadPinned("sharded_v2", 2);
+  ASSERT_NE(legacy, nullptr);
+  const std::string resaved = TempDirFor("shard_fixture_v2_resaved");
+  const std::string again = TempDirFor("shard_fixture_v2_again");
+  std::filesystem::remove_all(resaved);
+  std::filesystem::remove_all(again);
+  ASSERT_TRUE(SaveShardedCheckpoint(*legacy, resaved).ok());
+  for (const auto& [file, bytes] : CheckpointFiles(2, resaved)) {
+    EXPECT_EQ(static_cast<uint32_t>(bytes.at(8)), kShardedCheckpointVersion)
+        << file;
+  }
+  JaccardMatcher matcher;
+  auto reloaded = LoadShardedCheckpoint(resaved, matcher);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  ExpectEquivalent((*reloaded)->Snapshot().ValueOrDie(),
+                   legacy->Snapshot().ValueOrDie(), "re-saved");
+  ASSERT_TRUE(SaveShardedCheckpoint(**reloaded, again).ok());
+  EXPECT_EQ(CheckpointFiles(2, again), CheckpointFiles(2, resaved));
+  // sharded_v3 was written by the same schedule: the rebuilt indexes equal
+  // the ones the writer maintained, so the upgrade is exact.
+  EXPECT_EQ(CheckpointFiles(2, resaved),
+            CheckpointFiles(2, FixtureDir("sharded_v3")));
+  std::filesystem::remove_all(resaved);
+  std::filesystem::remove_all(again);
+}
+
+TEST(ShardedCheckpointFixtureTest, CheckedInVersionThreeDirectoryLoads) {
+  auto pipeline = LoadPinned("sharded_v3", 3);
+  ASSERT_NE(pipeline, nullptr);
+  const std::string resaved = TempDirFor("shard_fixture_v3_resaved");
+  std::filesystem::remove_all(resaved);
+  ASSERT_TRUE(SaveShardedCheckpoint(*pipeline, resaved).ok());
+  EXPECT_EQ(CheckpointFiles(2, resaved),
+            CheckpointFiles(2, FixtureDir("sharded_v3")));
+  std::filesystem::remove_all(resaved);
 }
 
 }  // namespace

@@ -259,13 +259,6 @@ void ExpectEquivalent(const PipelineResult& actual,
       << context;
 }
 
-void ExpectBitwiseIdentical(const PipelineResult& a, const PipelineResult& b,
-                            const std::string& context) {
-  ExpectEquivalent(a, b, context);
-  EXPECT_EQ(a.cleanup_stats.seconds, b.cleanup_stats.seconds) << context;
-  EXPECT_EQ(a.inference_seconds, b.inference_seconds) << context;
-}
-
 void ExpectEqualReports(const IngestReport& a, const IngestReport& b,
                         const std::string& context) {
   EXPECT_EQ(a.records_added, b.records_added) << context;
@@ -488,6 +481,30 @@ void RewriteStateFile(size_t shards, const std::string& path, size_t index,
                    EncodeU64(checksum));
   WriteFileBytes(ShardedManifestPath(path),
                  WithFixedChecksum(std::move(manifest)));
+}
+
+void RewriteFramingFile(size_t shards, const std::string& path, size_t pos,
+                        size_t length, const std::string& replacement) {
+  if (shards == 0) {
+    RewriteStateFile(0, path, 0, pos, length, replacement);
+    return;
+  }
+  // Manifest: magic 8, version u32, fingerprint (u64 length + bytes), u64
+  // shard count, one u64 checksum per shard, then the body's u64 length.
+  const std::string file = ShardedManifestPath(path);
+  std::string manifest = ReadFileBytes(file);
+  ASSERT_LE(pos + length, manifest.size() - 8);
+  const size_t fingerprint_length =
+      static_cast<size_t>(DecodeU64(manifest, 12));
+  const size_t body_length_at =
+      28 + fingerprint_length +
+      8 * static_cast<size_t>(DecodeU64(manifest, 20 + fingerprint_length));
+  ASSERT_GE(pos, body_length_at + 8);
+  manifest.replace(pos, length, replacement);
+  const uint64_t body_length = DecodeU64(manifest, body_length_at);
+  manifest.replace(body_length_at, 8,
+                   EncodeU64(body_length + replacement.size() - length));
+  WriteFileBytes(file, WithFixedChecksum(std::move(manifest)));
 }
 
 }  // namespace testing_support

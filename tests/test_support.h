@@ -153,15 +153,12 @@ PipelineResult SurvivorReference(const RecordTable& records,
                                  const IncrementalPipelineConfig& config,
                                  const PairwiseMatcher& matcher);
 
-/// Pairs, components, groups and every cleanup counter (wall clock aside).
+/// Pairs, components, groups and every cleanup counter: everything a
+/// pipeline snapshot holds apart from the batch pipeline's wall clock
+/// (incremental snapshots report 0 seconds).
 void ExpectEquivalent(const PipelineResult& actual,
                       const PipelineResult& reference,
                       const std::string& context);
-
-/// ExpectEquivalent plus the wall-clock fields: a restored pipeline carries
-/// the accumulated seconds bit for bit.
-void ExpectBitwiseIdentical(const PipelineResult& a, const PipelineResult& b,
-                            const std::string& context);
 
 /// Every count of two IngestReports (the wall-clock seconds excepted).
 void ExpectEqualReports(const IngestReport& a, const IngestReport& b,
@@ -256,6 +253,12 @@ std::vector<std::string> StateFiles(size_t shards, const std::string& path);
 void RewriteStateFile(size_t shards, const std::string& path, size_t index,
                       size_t pos, size_t length,
                       const std::string& replacement);
+
+/// The same for the framing file (the image, or the manifest, whose body
+/// holds the blocking state): the patched file's body length and trailing
+/// checksum are repaired.
+void RewriteFramingFile(size_t shards, const std::string& path, size_t pos,
+                        size_t length, const std::string& replacement);
 
 /// Little-endian encodings, as the checkpoint writers emit them.
 std::string EncodeU64(uint64_t v);

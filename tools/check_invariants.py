@@ -74,6 +74,15 @@ Rules (each finding is printed as `file:line: [rule] message`):
                    and would change the nn kernels' bits on any -march
                    with FMA (docs/matchers.md "Kernel dispatch").
 
+  clock-bytes      No WriteDouble( argument under src/ names seconds, a
+                   Stopwatch or Elapsed: a wall-clock reading differs
+                   between two runs of one schedule, so written into
+                   checkpoint or wire bytes it would make identical states
+                   serialize differently and change content-addressed shard
+                   file names (docs/formats.md, "Shared conventions"). Time
+                   belongs in the metrics registry and the per-mutation
+                   IngestReport.
+
   dead-surface     Every function a src/**/*.h header declares has a caller
                    in src/, examples/, bench/ or e2ebench/ besides its own
                    declaration and definition, or sits on
@@ -165,6 +174,9 @@ OBS_FREE_FILES = {
 #: settings that would undo it.
 FP_CONTRACT_FLAG = "-ffp-contract=off"
 FP_UNSAFE_RE = re.compile(r"-ffp-contract=(?!off\b)\w+|-ffast-math\b")
+
+WRITE_DOUBLE_RE = re.compile(r"\bWriteDouble\s*\(")
+CLOCK_NAME_RE = re.compile(r"(?i:seconds)|Stopwatch|Elapsed")
 
 OBS_SYMBOL_RE = re.compile(r'#include\s+"obs/|\bobs::|\bMetricsRegistry\b')
 
@@ -463,6 +475,36 @@ def check_pair_decode(repo_root):
     return errors
 
 
+def call_argument(code, open_paren):
+    """The text between `code[open_paren]` == "(" and its matching ")"."""
+    depth = 0
+    for i in range(open_paren, len(code)):
+        if code[i] == "(":
+            depth += 1
+        elif code[i] == ")":
+            depth -= 1
+            if depth == 0:
+                return code[open_paren + 1:i]
+    return code[open_paren + 1:]
+
+
+def check_clock_bytes(repo_root):
+    errors = []
+    for path in repo_files.source_files(repo_root):
+        code = code_of(path.read_text(encoding="utf-8"))
+        for m in WRITE_DOUBLE_RE.finditer(code):
+            argument = call_argument(code, m.end() - 1)
+            clock = CLOCK_NAME_RE.search(argument)
+            if clock:
+                lineno = code.count("\n", 0, m.start()) + 1
+                errors.append(
+                    f"{rel(path, repo_root)}:{lineno}: [clock-bytes] "
+                    f"WriteDouble of a wall-clock value ({clock.group(0)}) — "
+                    "serialized bytes must not depend on the run; record "
+                    "time in the metrics registry instead")
+    return errors
+
+
 def cmake_code(text):
     """CMake text with # comments blanked (line numbers kept)."""
     return "\n".join(line.split("#", 1)[0] for line in text.splitlines())
@@ -639,6 +681,7 @@ ALL_RULES = (
     check_raw_mutex,
     check_pair_decode,
     check_fp_contract,
+    check_clock_bytes,
     check_dead_surface,
 )
 

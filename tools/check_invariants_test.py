@@ -131,6 +131,17 @@ class FixtureTreeTest(unittest.TestCase):
 
         write(root, ".github/workflows/ci.yml", FIXTURE_CI)
 
+        # clock-bytes: a stopwatch reading (line 2) and a seconds total
+        # whose call spans two lines (line 3) written as doubles; a
+        # threshold and a comment naming seconds must NOT be flagged.
+        write(root, "src/stream/bad_clock.cc",
+              "void s(BinaryWriter* w, const Stopwatch& watch) {\n"
+              "  w->WriteDouble(watch.ElapsedSeconds());\n"
+              "  w->WriteDouble(\n"
+              "      scoring_seconds_total_);\n"
+              "  w->WriteDouble(config.match_threshold);  // not seconds\n"
+              "}\n")
+
         # dead-surface: OnlyTestsCall (line 4) and Widget::TestOnly
         # (line 10) have callers only in tests/ — their definitions in
         # surface.cc must not count. IsValidIsin is allowlisted; an
@@ -292,6 +303,18 @@ class FixtureTreeTest(unittest.TestCase):
     def test_fp_contract_reenabled(self):
         self.assert_finding("src/nn/CMakeLists.txt:2", "fp-contract")
 
+    def test_clock_bytes_elapsed(self):
+        self.assert_finding("src/stream/bad_clock.cc:2", "clock-bytes")
+
+    def test_clock_bytes_multiline_seconds(self):
+        self.assert_finding("src/stream/bad_clock.cc:3", "clock-bytes")
+
+    def test_clock_bytes_threshold_exempt(self):
+        self.assertFalse(
+            [f for f in self.findings
+             if f.startswith("src/stream/bad_clock.cc:5:")],
+            "a non-clock double (and a comment naming seconds) is fine")
+
     def test_dead_surface_test_only_function(self):
         self.assert_finding("src/text/surface.h:4", "dead-surface")
 
@@ -328,7 +351,8 @@ class FixtureTreeTest(unittest.TestCase):
         # misfires on the clean fixture files.
         seeded = ("bad_bytes.cc", "bad_tmp.cc", "orphan_test.cc",
                   "conc_test.cc", "ci.yml", "bad_dag.h", "bad_sync.h",
-                  "checkpoint.cc", "bad_pairs.cc", "CMakeLists.txt",
+                  "checkpoint.cc", "bad_pairs.cc", "bad_clock.cc:2:",
+                  "bad_clock.cc:3:", "CMakeLists.txt",
                   "surface.h:4:", "surface.h:10:", "scorers.h:6:",
                   "scorers.h:9:")
         for f in self.findings:
