@@ -47,6 +47,16 @@ void BumpRefcount(
   count = static_cast<uint32_t>(static_cast<int>(count) + delta);
 }
 
+/// The pairs of a refcount map, ascending.
+std::vector<RecordPair> SortedPairs(
+    const std::unordered_map<RecordPair, uint32_t, RecordPairHash>& refcount) {
+  std::vector<RecordPair> out;
+  out.reserve(refcount.size());
+  for (const auto& [pair, count] : refcount) out.push_back(pair);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 /// Finalize a refcount-delta pass: compare each touched pair's pre-batch
 /// refcount snapshot against its current one, emit membership transitions,
 /// and drop zero entries. Deltas are sorted so callers see a deterministic
@@ -151,9 +161,9 @@ std::vector<RecordId> IncrementalTokenOverlapIndex::RankRecord(
   if (scratch.count.size() < num_records_) scratch.count.resize(num_records_);
   ScratchReset reset(&scratch);
   for (int32_t tid : record_tokens_[static_cast<size_t>(record)]) {
-    const TokenInfo& info = tokens_[static_cast<size_t>(tid)];
-    if (!Eligible(info.df, max_df_)) continue;
-    for (RecordId other : info.postings) {
+    const std::vector<RecordId>& postings = postings_[static_cast<size_t>(tid)];
+    if (!Eligible(postings.size(), max_df_)) continue;
+    for (RecordId other : postings) {
       uint32_t& count = scratch.count[static_cast<size_t>(other)];
       if (count == 0) scratch.touched.push_back(other);
       ++count;
@@ -190,14 +200,14 @@ void IncrementalTokenOverlapIndex::MarkCapBand(
     const std::vector<std::pair<int32_t, uint32_t>>& touched,
     std::vector<char>* dirty) const {
   if (lo >= hi) return;
-  for (size_t tid = 0; tid < tokens_.size(); ++tid) {
-    const TokenInfo& info = tokens_[tid];
-    if (info.df <= lo || info.df > hi) continue;
+  for (size_t tid = 0; tid < postings_.size(); ++tid) {
+    const std::vector<RecordId>& postings = postings_[tid];
+    if (postings.size() <= lo || postings.size() > hi) continue;
     const bool was_touched = std::binary_search(
         touched.begin(), touched.end(),
         std::make_pair(static_cast<int32_t>(tid), uint32_t{0}),
         [](const auto& a, const auto& b) { return a.first < b.first; });
-    if (!was_touched) MarkHolders(info.postings, dirty);
+    if (!was_touched) MarkHolders(postings, dirty);
   }
 }
 
@@ -253,8 +263,8 @@ CandidateDelta IncrementalTokenOverlapIndex::AddRecords(
       },
       /*grain=*/32);
 
-  // Intern tokens and update document frequencies / postings in place. Ids
-  // only grow, so appending keeps every postings list ascending.
+  // Intern tokens and append to their postings in place. Ids only grow, so
+  // appending keeps every postings list ascending.
   const uint32_t old_max_df = max_df_;
   std::vector<int32_t> occurrences;
   record_tokens_.resize(new_n);
@@ -265,12 +275,10 @@ CandidateDelta IncrementalTokenOverlapIndex::AddRecords(
     for (auto& tok : new_tokens[k]) {
       auto [it, inserted] =
           token_id_.try_emplace(std::move(tok),
-                                static_cast<int32_t>(tokens_.size()));
-      if (inserted) tokens_.emplace_back();
+                                static_cast<int32_t>(postings_.size()));
+      if (inserted) postings_.emplace_back();
       const int32_t tid = it->second;
-      TokenInfo& info = tokens_[static_cast<size_t>(tid)];
-      ++info.df;
-      info.postings.push_back(rid);
+      postings_[static_cast<size_t>(tid)].push_back(rid);
       ids.push_back(tid);
       occurrences.push_back(tid);
     }
@@ -285,9 +293,10 @@ CandidateDelta IncrementalTokenOverlapIndex::AddRecords(
   const auto touched = TallyTokens(std::move(occurrences));
   std::vector<char> dirty(new_n, 0);
   for (const auto& [tid, gained] : touched) {
-    const TokenInfo& info = tokens_[static_cast<size_t>(tid)];
-    if (Eligible(info.df - gained, old_max_df) != Eligible(info.df, max_df_)) {
-      MarkHolders(info.postings, &dirty);
+    const std::vector<RecordId>& postings = postings_[static_cast<size_t>(tid)];
+    if (Eligible(postings.size() - gained, old_max_df) !=
+        Eligible(postings.size(), max_df_)) {
+      MarkHolders(postings, &dirty);
     }
   }
   MarkCapBand(old_max_df, max_df_, touched, &dirty);
@@ -332,17 +341,15 @@ CandidateDelta IncrementalTokenOverlapIndex::RemoveRecords(
   std::vector<char> removed(num_records_, 0);
   for (RecordId r : removed_ids) removed[static_cast<size_t>(r)] = 1;
 
-  // Release the removed records' tokens: each df drops and the record
-  // leaves the (ascending) postings, which therefore keep listing exactly
-  // the live holders.
+  // Release the removed records' tokens: each leaves the (ascending)
+  // postings, which therefore keep listing exactly the live holders.
   const uint32_t old_max_df = max_df_;
   std::vector<int32_t> occurrences;
   for (RecordId r : removed_ids) {
     for (int32_t tid : record_tokens_[static_cast<size_t>(r)]) {
-      TokenInfo& info = tokens_[static_cast<size_t>(tid)];
-      --info.df;
-      auto it = std::lower_bound(info.postings.begin(), info.postings.end(), r);
-      if (it != info.postings.end() && *it == r) info.postings.erase(it);
+      std::vector<RecordId>& postings = postings_[static_cast<size_t>(tid)];
+      auto it = std::lower_bound(postings.begin(), postings.end(), r);
+      if (it != postings.end() && *it == r) postings.erase(it);
       occurrences.push_back(tid);
     }
   }
@@ -363,12 +370,12 @@ CandidateDelta IncrementalTokenOverlapIndex::RemoveRecords(
   const auto touched = TallyTokens(std::move(occurrences));
   std::vector<char> dirty(num_records_, 0);
   for (const auto& [tid, lost] : touched) {
-    const TokenInfo& info = tokens_[static_cast<size_t>(tid)];
-    const bool was_eligible = Eligible(info.df + lost, old_max_df);
-    if (was_eligible != Eligible(info.df, max_df_)) {
-      MarkHolders(info.postings, &dirty);
+    const std::vector<RecordId>& postings = postings_[static_cast<size_t>(tid)];
+    const bool was_eligible = Eligible(postings.size() + lost, old_max_df);
+    if (was_eligible != Eligible(postings.size(), max_df_)) {
+      MarkHolders(postings, &dirty);
     } else if (was_eligible) {
-      for (RecordId r : info.postings) {
+      for (RecordId r : postings) {
         if (!dirty[static_cast<size_t>(r)] && keeps_removed(r)) {
           dirty[static_cast<size_t>(r)] = 1;
         }
@@ -393,10 +400,7 @@ CandidateDelta IncrementalTokenOverlapIndex::RemoveRecords(
 }
 
 std::vector<RecordPair> IncrementalTokenOverlapIndex::CurrentPairs() const {
-  std::vector<RecordPair> out;
-  out.reserve(refcount_.size());
-  for (const auto& [pair, count] : refcount_) out.push_back(pair);
-  return out;
+  return SortedPairs(refcount_);
 }
 
 void IncrementalTokenOverlapIndex::SaveState(BinaryWriter* writer) const {
@@ -409,15 +413,15 @@ void IncrementalTokenOverlapIndex::SaveState(BinaryWriter* writer) const {
   // Tokens in id order: interning order matters because the (count desc,
   // id asc) ranking tie-break compares token-holder record ids — it must
   // survive the round trip exactly.
-  std::vector<const std::string*> token_of_id(tokens_.size(), nullptr);
+  std::vector<const std::string*> token_of_id(postings_.size(), nullptr);
   for (const auto& [text, tid] : token_id_) {
     token_of_id[static_cast<size_t>(tid)] = &text;
   }
-  writer->WriteU64(tokens_.size());
-  for (size_t tid = 0; tid < tokens_.size(); ++tid) {
+  writer->WriteU64(postings_.size());
+  for (size_t tid = 0; tid < postings_.size(); ++tid) {
     writer->WriteString(*token_of_id[tid]);
-    writer->WriteU32(tokens_[tid].df);
-    WriteRecordIds(tokens_[tid].postings, writer);
+    writer->WriteU32(static_cast<uint32_t>(postings_[tid].size()));
+    WriteRecordIds(postings_[tid], writer);
   }
 
   writer->WriteU64(record_tokens_.size());
@@ -427,7 +431,7 @@ void IncrementalTokenOverlapIndex::SaveState(BinaryWriter* writer) const {
   }
   writer->WriteU64(kept_.size());
   for (const auto& ids : kept_) WriteRecordIds(ids, writer);
-  WritePairValues(refcount_, writer);
+  WritePairValues({refcount_.begin(), refcount_.end()}, writer);
 }
 
 Status IncrementalTokenOverlapIndex::LoadState(BinaryReader* reader) {
@@ -450,14 +454,15 @@ Status IncrementalTokenOverlapIndex::LoadState(BinaryReader* reader) {
   uint64_t num_tokens = 0;
   GRALMATCH_RETURN_NOT_OK(reader->ReadCount(13, &num_tokens));
   token_id_.clear();
-  tokens_.clear();
-  tokens_.reserve(static_cast<size_t>(num_tokens));
+  postings_.clear();
+  postings_.reserve(static_cast<size_t>(num_tokens));
   for (uint64_t tid = 0; tid < num_tokens; ++tid) {
     std::string text;
     GRALMATCH_RETURN_NOT_OK(reader->ReadString(&text));
-    TokenInfo info;
-    GRALMATCH_RETURN_NOT_OK(reader->ReadU32(&info.df));
-    GRALMATCH_RETURN_NOT_OK(ReadRecordIds(reader, num_records_, &info.postings));
+    uint32_t df = 0;
+    GRALMATCH_RETURN_NOT_OK(reader->ReadU32(&df));
+    std::vector<RecordId> postings;
+    GRALMATCH_RETURN_NOT_OK(ReadRecordIds(reader, num_records_, &postings));
     auto [it, inserted] =
         token_id_.emplace(std::move(text), static_cast<int32_t>(tid));
     (void)it;
@@ -465,12 +470,17 @@ Status IncrementalTokenOverlapIndex::LoadState(BinaryReader* reader) {
       return Status::IOError("corrupted token index: duplicate token text");
     }
     // Removal locates holders by binary search, so postings must ascend.
-    if (std::adjacent_find(info.postings.begin(), info.postings.end(),
-                           std::greater_equal<RecordId>()) !=
-        info.postings.end()) {
+    if (std::adjacent_find(postings.begin(), postings.end(),
+                           std::greater_equal<RecordId>()) != postings.end()) {
       return Status::IOError("corrupted token index: postings not ascending");
     }
-    tokens_.push_back(std::move(info));
+    // The stored document frequency is the postings count.
+    if (df != postings.size()) {
+      return Status::IOError(
+          "corrupted token index: document frequency disagrees with the "
+          "postings");
+    }
+    postings_.push_back(std::move(postings));
   }
 
   uint64_t rows = 0;
@@ -488,7 +498,7 @@ Status IncrementalTokenOverlapIndex::LoadState(BinaryReader* reader) {
     for (uint64_t k = 0; k < count; ++k) {
       int32_t tid = -1;
       GRALMATCH_RETURN_NOT_OK(reader->ReadI32(&tid));
-      if (tid < 0 || static_cast<size_t>(tid) >= tokens_.size()) {
+      if (tid < 0 || static_cast<size_t>(tid) >= postings_.size()) {
         return Status::IOError("corrupted token index: token id " +
                                std::to_string(tid) + " out of range");
       }
@@ -506,7 +516,10 @@ Status IncrementalTokenOverlapIndex::LoadState(BinaryReader* reader) {
   for (auto& ids : kept_) {
     GRALMATCH_RETURN_NOT_OK(ReadRecordIds(reader, num_records_, &ids));
   }
-  return ReadPairValues(reader, num_records_, &refcount_);
+  PairValues refcounts;
+  GRALMATCH_RETURN_NOT_OK(ReadPairValues(reader, num_records_, &refcounts));
+  refcount_ = {refcounts.begin(), refcounts.end()};
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -666,10 +679,7 @@ CandidateDelta IncrementalIdOverlapIndex::RemoveRecords(
 }
 
 std::vector<RecordPair> IncrementalIdOverlapIndex::CurrentPairs() const {
-  std::vector<RecordPair> out;
-  out.reserve(refcount_.size());
-  for (const auto& [pair, count] : refcount_) out.push_back(pair);
-  return out;
+  return SortedPairs(refcount_);
 }
 
 void IncrementalIdOverlapIndex::SaveState(BinaryWriter* writer) const {
@@ -687,7 +697,7 @@ void IncrementalIdOverlapIndex::SaveState(BinaryWriter* writer) const {
     writer->WriteString(*value);
     WriteRecordIds(index_.at(*value), writer);
   }
-  WritePairValues(refcount_, writer);
+  WritePairValues({refcount_.begin(), refcount_.end()}, writer);
 }
 
 Status IncrementalIdOverlapIndex::LoadState(BinaryReader* reader) {
@@ -712,7 +722,10 @@ Status IncrementalIdOverlapIndex::LoadState(BinaryReader* reader) {
       return Status::IOError("corrupted id index: duplicate identifier value");
     }
   }
-  return ReadPairValues(reader, num_records_, &refcount_);
+  PairValues refcounts;
+  GRALMATCH_RETURN_NOT_OK(ReadPairValues(reader, num_records_, &refcounts));
+  refcount_ = {refcounts.begin(), refcounts.end()};
+  return Status::OK();
 }
 
 }  // namespace gralmatch

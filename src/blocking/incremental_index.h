@@ -97,8 +97,12 @@ class IncrementalTokenOverlapIndex {
                                const std::vector<RecordId>& removed_ids,
                                ThreadPool* pool = nullptr);
 
-  /// Current candidate pairs (unsorted).
+  /// Current candidate pairs, ascending.
   std::vector<RecordPair> CurrentPairs() const;
+  /// Whether `pair` is a current candidate pair.
+  bool Contains(const RecordPair& pair) const {
+    return refcount_.count(pair) != 0;
+  }
 
   size_t num_records() const { return num_records_; }
   /// Live (non-retracted) records; the max-df cap is a fraction of this
@@ -107,7 +111,7 @@ class IncrementalTokenOverlapIndex {
   /// Restore the live count after LoadState (which defaults every record to
   /// alive — the owning pipeline carries the tombstone set).
   void SetNumLive(size_t live) { num_live_ = live; }
-  size_t num_tokens() const { return tokens_.size(); }
+  size_t num_tokens() const { return postings_.size(); }
   /// Records ranked (new or re-ranked) by all mutations on this object so
   /// far — the cost the dirty-set rule bounds. A counter, not index state:
   /// never serialized, and left alone by LoadState.
@@ -120,16 +124,12 @@ class IncrementalTokenOverlapIndex {
 
   /// Restore the state written by SaveState, replacing the current contents.
   /// Returns an error on truncated or inconsistent input (including
-  /// postings that are not strictly ascending), leaving the index in an
+  /// postings that are not strictly ascending, or a stored document
+  /// frequency other than its postings count), leaving the index in an
   /// unspecified state that must be discarded.
   Status LoadState(BinaryReader* reader);
 
  private:
-  struct TokenInfo {
-    uint32_t df = 0;
-    std::vector<RecordId> postings;  ///< live holders, ascending record id
-  };
-
   /// Top-n other-source records by token overlap for one record, using the
   /// same eligibility, min-overlap and (count desc, id asc) tie-break rules
   /// as the batch blocker. Overlaps are counted in a per-thread dense array
@@ -138,7 +138,7 @@ class IncrementalTokenOverlapIndex {
   std::vector<RecordId> RankRecord(const RecordTable& records, RecordId record,
                                    std::vector<RecordId>* partners) const;
 
-  static bool Eligible(uint32_t df, uint32_t max_df) {
+  static bool Eligible(size_t df, uint32_t max_df) {
     return df >= 2 && df <= max_df;
   }
   /// Max-df cap for the current live count.
@@ -162,7 +162,9 @@ class IncrementalTokenOverlapIndex {
   size_t num_live_ = 0;
   uint32_t max_df_ = 1;
   std::unordered_map<std::string, int32_t> token_id_;
-  std::vector<TokenInfo> tokens_;
+  /// Postings per token id: the live holders, ascending record id. A
+  /// token's document frequency is its postings count.
+  std::vector<std::vector<RecordId>> postings_;
   /// Token ids per record (unique).
   std::vector<std::vector<int32_t>> record_tokens_;
   /// Current top-n candidate list per record.
@@ -197,8 +199,12 @@ class IncrementalIdOverlapIndex {
                                const std::vector<RecordId>& removed_ids,
                                ThreadPool* pool = nullptr);
 
-  /// Current candidate pairs (unsorted).
+  /// Current candidate pairs, ascending.
   std::vector<RecordPair> CurrentPairs() const;
+  /// Whether `pair` is a current candidate pair.
+  bool Contains(const RecordPair& pair) const {
+    return refcount_.count(pair) != 0;
+  }
 
   size_t num_records() const { return num_records_; }
 

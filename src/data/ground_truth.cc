@@ -51,23 +51,18 @@ Status ReadSortedPairList(
   return Status::OK();
 }
 
-void WritePairValues(
-    const std::unordered_map<RecordPair, uint32_t, RecordPairHash>& values,
-    BinaryWriter* writer) {
-  std::vector<std::pair<RecordPair, uint32_t>> entries(values.begin(),
-                                                       values.end());
-  std::sort(entries.begin(), entries.end(),
+void WritePairValues(PairValues values, BinaryWriter* writer) {
+  std::sort(values.begin(), values.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  writer->WriteU64(entries.size());
-  for (const auto& [pair, value] : entries) {
+  writer->WriteU64(values.size());
+  for (const auto& [pair, value] : values) {
     WriteRecordPair(pair, writer);
     writer->WriteU32(value);
   }
 }
 
-Status ReadPairValues(
-    BinaryReader* reader, size_t num_records,
-    std::unordered_map<RecordPair, uint32_t, RecordPairHash>* values) {
+Status ReadPairValues(BinaryReader* reader, size_t num_records,
+                      PairValues* values) {
   values->clear();
   return ReadSortedPairList(
       reader, num_records, 12,
@@ -78,7 +73,7 @@ Status ReadPairValues(
         if (value == 0) {
           return Status::IOError("corrupted checkpoint: zero pair value");
         }
-        values->emplace(pair, value);
+        values->emplace_back(pair, value);
         return Status::OK();
       });
 }

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "data/record.h"
@@ -61,18 +62,17 @@ struct RecordPairHash {
   }
 };
 
-/// Encode a pair -> nonzero u32 map (blocking refcounts, candidate
-/// provenance bits) in ascending pair order: u64 count, then each pair
-/// (WriteRecordPair) and its u32.
-void WritePairValues(
-    const std::unordered_map<RecordPair, uint32_t, RecordPairHash>& values,
-    BinaryWriter* writer);
+/// Pair -> nonzero u32 entries (blocking refcounts, provenance bits).
+using PairValues = std::vector<std::pair<RecordPair, uint32_t>>;
 
-/// Read WritePairValues output (ReadSortedPairList rules). A zero value is
-/// corruption: no writer stores one.
-Status ReadPairValues(
-    BinaryReader* reader, size_t num_records,
-    std::unordered_map<RecordPair, uint32_t, RecordPairHash>* values);
+/// Encode `values` (unique pairs, any order) in ascending pair order: u64
+/// count, then each pair (WriteRecordPair) and its u32.
+void WritePairValues(PairValues values, BinaryWriter* writer);
+
+/// Read WritePairValues output (ReadSortedPairList rules) into ascending
+/// entries. A zero value is corruption: no writer stores one.
+Status ReadPairValues(BinaryReader* reader, size_t num_records,
+                      PairValues* values);
 
 /// \brief Entity assignment: one EntityId per record.
 ///

@@ -19,7 +19,7 @@
 /// loop. Each lane runs that scalar sequence unchanged, so every
 /// instantiation is bitwise-identical to the scalar reference. It is
 /// compiled twice: once for the build's baseline target (4-float vectors)
-/// and, on x86 with GRALMATCH_SIMD on, once with target("avx2") (8-float
+/// and, on x86 with GCC or Clang, once with target("avx2") (8-float
 /// vectors; never "fma": a fused multiply-add rounds once and would change
 /// bits). ActiveKernel() picks between them once per process.
 
@@ -60,7 +60,7 @@ using RowKernel = void (*)(const ProductArgs& args);
 RowKernel PortableKernel();
 
 /// The target("avx2") instantiation, or nullptr when it is not compiled in
-/// (non-x86, GRALMATCH_SIMD=OFF) or the CPU does not report AVX2.
+/// (non-x86, or neither GCC nor Clang) or the CPU does not report AVX2.
 RowKernel Avx2Kernel();
 
 /// The instantiation every nn product runs through: the AVX2 one when

@@ -9,9 +9,8 @@
 #include "nn/simd.h"
 
 // The AVX2 instantiation needs GCC/Clang target attributes and vector
-// extensions on x86; GRALMATCH_SIMD=OFF builds the portable one only.
-#if defined(GRALMATCH_SIMD_ENABLED) && defined(__GNUC__) && \
-    (defined(__x86_64__) || defined(__i386__))
+// extensions on x86; other builds have the portable one only.
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
 #define GRALMATCH_NN_AVX2_KERNEL 1
 #endif
 
@@ -28,14 +27,14 @@ void Matrix::Add(const Matrix& other) {
   float* a = data_.data();
   const float* b = other.data_.data();
   const size_t n = data_.size();
-  GRALMATCH_SIMD_LOOP
+  GRALMATCH_VECTOR_LOOP
   for (size_t i = 0; i < n; ++i) a[i] += b[i];
 }
 
 void Matrix::Scale(float s) {
   float* a = data_.data();
   const size_t n = data_.size();
-  GRALMATCH_SIMD_LOOP
+  GRALMATCH_VECTOR_LOOP
   for (size_t i = 0; i < n; ++i) a[i] *= s;
 }
 

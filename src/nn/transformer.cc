@@ -40,7 +40,7 @@ void LayerNormForward(const Matrix& x, const Parameter& gamma,
     float* yi = y->row(i);
     const float* g = gamma.value.data();
     const float* be = beta.value.data();
-    GRALMATCH_SIMD_LOOP
+    GRALMATCH_VECTOR_LOOP
     for (size_t j = 0; j < d; ++j) {
       xh[j] = (xi[j] - mean) * istd;
       yi[j] = xh[j] * g[j] + be[j];
@@ -112,7 +112,7 @@ void UnsliceHeadRangeAcc(const Matrix& src, size_t row_begin, size_t h,
   for (size_t i = 0; i < rows; ++i) {
     float* d = dst->row(row_begin + i) + h * dh;
     const float* s = src.row(i);
-    GRALMATCH_SIMD_LOOP
+    GRALMATCH_VECTOR_LOOP
     for (size_t j = 0; j < dh; ++j) d[j] += s[j];
   }
 }
@@ -141,7 +141,7 @@ void AttentionSoftmaxRows(Matrix* scores, float scale) {
       sum += row[j];
     }
     float inv = 1.0f / sum;
-    GRALMATCH_SIMD_LOOP
+    GRALMATCH_VECTOR_LOOP
     for (size_t j = 0; j < cols; ++j) row[j] *= inv;
   }
 }
@@ -152,7 +152,7 @@ void AddBiasReLU(Matrix* h, const Parameter& bias) {
   const float* b = bias.value.data();
   for (size_t i = 0; i < rows; ++i) {
     float* row = h->row(i);
-    GRALMATCH_SIMD_LOOP
+    GRALMATCH_VECTOR_LOOP
     for (size_t j = 0; j < cols; ++j) {
       row[j] += b[j];
       if (row[j] < 0.0f) row[j] = 0.0f;  // ReLU
@@ -166,7 +166,7 @@ void AddBias(Matrix* h, const Parameter& bias) {
   const float* b = bias.value.data();
   for (size_t i = 0; i < rows; ++i) {
     float* row = h->row(i);
-    GRALMATCH_SIMD_LOOP
+    GRALMATCH_VECTOR_LOOP
     for (size_t j = 0; j < cols; ++j) row[j] += b[j];
   }
 }
@@ -188,7 +188,7 @@ void EmbedSequenceRows(const EncodedSequence& input, size_t len,
     const float* sh =
         shared.value.row(i < input.shared.size() && input.shared[i] ? 1 : 0);
     float* xi = x->row(row_begin + i);
-    GRALMATCH_SIMD_LOOP
+    GRALMATCH_VECTOR_LOOP
     for (size_t j = 0; j < d; ++j) xi[j] = e[j] + p[j] + sg[j] + sh[j];
   }
 }

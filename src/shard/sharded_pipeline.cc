@@ -21,7 +21,13 @@ struct ShardPart {
   std::vector<RecordPair> positives;
   size_t matcher_calls = 0;
   size_t cache_hits = 0;
-  std::vector<std::pair<int32_t, GroupStore::ComponentState>> components;
+  /// A component as stored: its id, its state and its edge list.
+  struct Component {
+    int32_t cid = 0;
+    GroupStore::ComponentState state;
+    std::vector<RecordPair> edges;
+  };
+  std::vector<Component> components;
 };
 
 /// Read one shard body laid out under checkpoint format `version`.
@@ -91,13 +97,11 @@ Result<ShardPart> ParseShardBody(BinaryReader* reader, size_t num_records,
 
   uint64_t num_comps = 0;
   GRALMATCH_RETURN_NOT_OK(reader->ReadCount(4, &num_comps));
-  part.components.reserve(static_cast<size_t>(num_comps));
-  for (uint64_t k = 0; k < num_comps; ++k) {
-    int32_t cid = 0;
-    GRALMATCH_RETURN_NOT_OK(reader->ReadI32(&cid));
-    GroupStore::ComponentState comp;
-    GRALMATCH_RETURN_NOT_OK(ReadComponentState(reader, num_records, &comp));
-    part.components.emplace_back(cid, std::move(comp));
+  part.components.resize(static_cast<size_t>(num_comps));
+  for (ShardPart::Component& comp : part.components) {
+    GRALMATCH_RETURN_NOT_OK(reader->ReadI32(&comp.cid));
+    GRALMATCH_RETURN_NOT_OK(
+        ReadComponentState(reader, num_records, &comp.state, &comp.edges));
   }
   return part;
 }
@@ -223,7 +227,7 @@ Status ShardedPipeline::SerializeShardBodies(
     writer->WriteU64(components[s].size());
     for (const auto& [cid, comp] : components[s]) {
       writer->WriteI32(cid);
-      WriteComponentState(*comp, writer);
+      WriteComponentState(*comp, engine_.positives_, writer);
     }
   }
   return Status::OK();
@@ -296,8 +300,10 @@ Result<std::unique_ptr<ShardedPipeline>> ShardedPipeline::DeserializeFromParts(
 
   // The manifest body ends with the blocking state (version 3), which
   // needs the record table in place, or with the legacy wall clock.
+  PairValues provenance;
   if (version >= 3) {
-    GRALMATCH_RETURN_NOT_OK(engine.LoadBlockingState(manifest_body));
+    GRALMATCH_RETURN_NOT_OK(
+        engine.LoadBlockingState(manifest_body, &provenance));
   } else {
     GRALMATCH_RETURN_NOT_OK(SkipLegacyWallClock(manifest_body));
   }
@@ -316,7 +322,6 @@ Result<std::unique_ptr<ShardedPipeline>> ShardedPipeline::DeserializeFromParts(
   // Scores, positives and components back into the one engine, each
   // checked against its owner shard. The pair codec rejected duplicates
   // within a shard and ownership rules them out across shards.
-  engine.store_.EnsureNumRecords(n);
   for (size_t s = 0; s < parts.size(); ++s) {
     for (const auto& [pair, score] : parts[s].scores) {
       if (pipeline->OwnerOf(pair) != s) {
@@ -335,27 +340,31 @@ Result<std::unique_ptr<ShardedPipeline>> ShardedPipeline::DeserializeFromParts(
     }
     engine.total_matcher_calls_ += parts[s].matcher_calls;
     engine.total_cache_hits_ += parts[s].cache_hits;
-    for (auto& [cid, comp] : parts[s].components) {
-      if (comp.nodes.empty()) {
+  }
+  // Each shard's positives are ascending and no pair has two owners, so one
+  // sort leaves the merged set strictly ascending. Components are checked
+  // against the merged set: other shards may own their edges.
+  std::sort(engine.positives_.begin(), engine.positives_.end());
+  engine.store_.EnsureNumRecords(n);
+  for (size_t s = 0; s < parts.size(); ++s) {
+    for (ShardPart::Component& comp : parts[s].components) {
+      if (comp.state.nodes.empty()) {
         return Status::IOError("corrupted checkpoint: empty component");
       }
       if (pipeline->shard_of_record_[static_cast<size_t>(
-              comp.nodes.front())] != s) {
+              comp.state.nodes.front())] != s) {
         return Status::IOError(
             "corrupted shard checkpoint: component stored on a shard that "
             "does not own its smallest node");
       }
-      GRALMATCH_RETURN_NOT_OK(
-          engine.store_.InsertComponent(cid, std::move(comp), n));
+      GRALMATCH_RETURN_NOT_OK(engine.store_.InsertComponent(
+          comp.cid, std::move(comp.state), comp.edges, engine.positives_, n));
     }
   }
-  // Each shard's positives are ascending and no pair has two owners, so one
-  // sort leaves the merged set strictly ascending.
-  std::sort(engine.positives_.begin(), engine.positives_.end());
   engine.store_.SetNextComponentId(next_comp_id);
-  // Legacy directories store no index state: rebuild it from the records.
+  // Legacy directories store no index state: the engine rebuilds it.
   GRALMATCH_RETURN_NOT_OK(
-      engine.FinishRestore(/*rebuild_blocking=*/version < 3));
+      engine.FinishRestore(version >= 3 ? &provenance : nullptr));
   return pipeline;
 }
 

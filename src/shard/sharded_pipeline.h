@@ -10,9 +10,8 @@
 /// cleanup all depend on records of every shard — so the pipeline runs
 /// them once, in one owned IncrementalPipeline (stream/incremental_pipeline.h).
 /// The engine holds all matching state: records, tombstones, blocking
-/// indexes, candidate provenance, the score cache, the positive set and the
-/// component store, and it is the only mutation path. This layer adds two
-/// things:
+/// indexes, the score cache, the positive set and the component store, and
+/// it is the only mutation path. This layer adds two things:
 ///
 ///  1. Routing: after every engine call, a deterministic content-hash
 ///     ShardRouter (shard_router.h) assigns each record the call appended to
@@ -154,9 +153,11 @@ class ShardedPipeline {
   /// checked here: record ids must tile [0, n) exactly, each record must
   /// route to the shard that stored it, each tombstone, cached score,
   /// positive and component must sit with its owner shard, and no positive
-  /// may appear twice. Counter slots are summed across shards. The engine's
+  /// may appear twice. Counter slots are summed across shards. Components
+  /// are inserted once every shard's positives are merged, and each stored
+  /// edge list must equal the one the merged set derives. The engine's
   /// restore then re-verifies every cross-field invariant, the stored
-  /// blocking state against the candidate provenance included; legacy
+  /// provenance against the one the indexes derive included; legacy
   /// (version 1 and 2) directories store no index state, so for them it
   /// rebuilds the indexes from the records and tombstones first. Any
   /// violation is a clean error.

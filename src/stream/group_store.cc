@@ -46,11 +46,31 @@ Status ReadNodeIdVector(BinaryReader* reader, size_t num_records,
   return Status::OK();
 }
 
+namespace {
+
+/// The positive pairs whose smaller endpoint is in `nodes` (ascending), in
+/// ascending order. For a component's nodes these are its edges: a positive
+/// pair never leaves the component of its endpoints.
+std::vector<RecordPair> EdgesOf(const std::vector<NodeId>& nodes,
+                                const std::vector<RecordPair>& positives) {
+  std::vector<RecordPair> edges;
+  auto before = [](const RecordPair& pair, NodeId u) { return pair.a < u; };
+  auto it = positives.begin();
+  for (const NodeId u : nodes) {
+    it = std::lower_bound(it, positives.end(), u, before);
+    for (; it != positives.end() && it->a == u; ++it) edges.push_back(*it);
+  }
+  return edges;
+}
+
+}  // namespace
+
 void WriteComponentState(const GroupStore::ComponentState& comp,
+                         const std::vector<RecordPair>& positives,
                          BinaryWriter* writer) {
   writer->WriteU64(comp.nodes.size());
   for (const NodeId u : comp.nodes) writer->WriteI32(u);
-  WriteRecordPairs(comp.pairs, writer);
+  WriteRecordPairs(EdgesOf(comp.nodes, positives), writer);
   writer->WriteU64(comp.groups.size());
   for (const auto& group : comp.groups) {
     writer->WriteU64(group.size());
@@ -64,9 +84,10 @@ void WriteComponentState(const GroupStore::ComponentState& comp,
 }
 
 Status ReadComponentState(BinaryReader* reader, size_t num_records,
-                          GroupStore::ComponentState* comp) {
+                          GroupStore::ComponentState* comp,
+                          std::vector<RecordPair>* edges) {
   GRALMATCH_RETURN_NOT_OK(ReadNodeIdVector(reader, num_records, &comp->nodes));
-  GRALMATCH_RETURN_NOT_OK(ReadRecordPairs(reader, num_records, &comp->pairs));
+  GRALMATCH_RETURN_NOT_OK(ReadRecordPairs(reader, num_records, edges));
   uint64_t num_groups = 0;
   GRALMATCH_RETURN_NOT_OK(reader->ReadCount(8, &num_groups));
   comp->groups.clear();
@@ -97,10 +118,11 @@ void GroupStore::EnsureNumRecords(size_t num_records) {
 }
 
 void GroupStore::RebuildComponent(ComponentState* comp,
+                                  const std::vector<RecordPair>& edges,
                                   const ProvenanceFn& prov_of,
                                   const PipelineConfig& config,
                                   ThreadPool* pool) {
-  // Nodes are sorted, pairs are sorted: inserting edges in pair order
+  // Nodes are sorted, edges are sorted: inserting edges in pair order
   // reproduces the edge-id order of a from-scratch run, and the monotone
   // node remap preserves every comparison the cleanup tie-breaks on.
   Graph local(comp->nodes.size());
@@ -110,8 +132,8 @@ void GroupStore::RebuildComponent(ComponentState* comp,
         comp->nodes.begin());
   };
   std::vector<uint32_t> edge_provenance;
-  edge_provenance.reserve(comp->pairs.size());
-  for (const RecordPair& pair : comp->pairs) {
+  edge_provenance.reserve(edges.size());
+  for (const RecordPair& pair : edges) {
     // Discard audited: endpoints are remapped members of this component, so
     // AddEdge cannot fail; the local edge id is not needed.
     (void)local.AddEdge(local_id(pair.a), local_id(pair.b));
@@ -135,11 +157,9 @@ void GroupStore::RebuildComponent(ComponentState* comp,
 }
 
 GroupStore::ApplyReport GroupStore::Apply(
-    const std::vector<RecordPair>& pos_added,
-    const std::vector<RecordPair>& pos_removed,
-    const std::vector<RecordPair>& pos_prov_changed, bool rebuild_all,
-    const ProvenanceFn& prov_of, const PipelineConfig& config,
-    ThreadPool* pool) {
+    const std::vector<RecordPair>& touched, bool rebuild_all,
+    const std::vector<RecordPair>& positives, const ProvenanceFn& prov_of,
+    const PipelineConfig& config, ThreadPool* pool) {
   ApplyReport report;
 
   // Dirty components: every component touching an affected node, i.e. an
@@ -148,25 +168,15 @@ GroupStore::ApplyReport GroupStore::Apply(
   // conservatively dirty.
   std::unordered_set<int32_t> dirty_comps;
   std::vector<NodeId> loose_nodes;  // affected nodes outside any component
-  auto touch_node = [&](NodeId u) {
-    const int32_t cid = comp_of_node_[static_cast<size_t>(u)];
-    if (cid >= 0) {
-      dirty_comps.insert(cid);
-    } else {
-      loose_nodes.push_back(u);
+  for (const RecordPair& pair : touched) {
+    for (const NodeId u : {pair.a, pair.b}) {
+      const int32_t cid = comp_of_node_[static_cast<size_t>(u)];
+      if (cid >= 0) {
+        dirty_comps.insert(cid);
+      } else {
+        loose_nodes.push_back(u);
+      }
     }
-  };
-  for (const RecordPair& pair : pos_added) {
-    touch_node(pair.a);
-    touch_node(pair.b);
-  }
-  for (const RecordPair& pair : pos_removed) {
-    touch_node(pair.a);
-    touch_node(pair.b);
-  }
-  for (const RecordPair& pair : pos_prov_changed) {
-    touch_node(pair.a);
-    touch_node(pair.b);
   }
   if (rebuild_all) {
     for (const auto& [cid, comp] : comps_) dirty_comps.insert(cid);
@@ -174,26 +184,21 @@ GroupStore::ApplyReport GroupStore::Apply(
   report.components_reused = comps_.size() - dirty_comps.size();
 
   if (!dirty_comps.empty() || !loose_nodes.empty()) {
-    // Union the dirty region's nodes and surviving pairs, recompute its
-    // connectivity, and re-clean each resulting component. Every removed
-    // pair's endpoints are affected, so removals never touch a clean
-    // component; every added pair's endpoints are in the region by
-    // construction.
+    // Union the dirty region's nodes, recompute its connectivity over the
+    // positive pairs they hold, and re-clean each resulting component. A
+    // removed pair's endpoints are affected, so removals never touch a
+    // clean component, and every pair touching the region lies inside it.
     std::vector<NodeId> region_nodes = loose_nodes;
-    std::vector<RecordPair> region_pairs = pos_added;
-    const std::unordered_set<RecordPair, RecordPairHash> removed_set(
-        pos_removed.begin(), pos_removed.end());
     for (const int32_t cid : dirty_comps) {
       const ComponentState& comp = comps_.at(cid);
       region_nodes.insert(region_nodes.end(), comp.nodes.begin(),
                           comp.nodes.end());
-      for (const RecordPair& pair : comp.pairs) {
-        if (!removed_set.count(pair)) region_pairs.push_back(pair);
-      }
     }
     std::sort(region_nodes.begin(), region_nodes.end());
     region_nodes.erase(std::unique(region_nodes.begin(), region_nodes.end()),
                        region_nodes.end());
+    const std::vector<RecordPair> region_pairs =
+        EdgesOf(region_nodes, positives);
     auto region_index = [&region_nodes](NodeId u) {
       return static_cast<size_t>(
           std::lower_bound(region_nodes.begin(), region_nodes.end(), u) -
@@ -222,13 +227,13 @@ GroupStore::ApplyReport GroupStore::Apply(
       comp_of_node_[static_cast<size_t>(u)] = it->second;
       comps_[it->second].nodes.push_back(u);  // ascending: k is ascending
     }
+    // Region pairs ascend, so each rebuilt component's edges do too.
+    std::unordered_map<int32_t, std::vector<RecordPair>> edges_of;
     for (const RecordPair& pair : region_pairs) {
-      comps_[comp_of_node_[static_cast<size_t>(pair.a)]].pairs.push_back(pair);
+      edges_of[comp_of_node_[static_cast<size_t>(pair.a)]].push_back(pair);
     }
     for (const int32_t cid : rebuilt_ids) {
-      ComponentState& comp = comps_[cid];
-      std::sort(comp.pairs.begin(), comp.pairs.end());
-      RebuildComponent(&comp, prov_of, config, pool);
+      RebuildComponent(&comps_[cid], edges_of[cid], prov_of, config, pool);
     }
     report.components_rebuilt = rebuilt_ids.size();
   }
@@ -289,7 +294,8 @@ void GroupStore::FillSnapshot(size_t num_records, const std::vector<char>* alive
   }
 }
 
-void GroupStore::Save(BinaryWriter* writer) const {
+void GroupStore::Save(const std::vector<RecordPair>& positives,
+                      BinaryWriter* writer) const {
   writer->WriteU64(comp_of_node_.size());
   for (int32_t cid : comp_of_node_) writer->WriteI32(cid);
   std::vector<int32_t> comp_ids;
@@ -299,12 +305,13 @@ void GroupStore::Save(BinaryWriter* writer) const {
   writer->WriteU64(comp_ids.size());
   for (int32_t cid : comp_ids) {
     writer->WriteI32(cid);
-    WriteComponentState(comps_.at(cid), writer);
+    WriteComponentState(comps_.at(cid), positives, writer);
   }
   writer->WriteI32(next_comp_id_);
 }
 
-Status GroupStore::Load(BinaryReader* reader, size_t num_records) {
+Status GroupStore::Load(BinaryReader* reader, size_t num_records,
+                        const std::vector<RecordPair>& positives) {
   comp_of_node_.clear();
   comps_.clear();
   next_comp_id_ = 0;
@@ -328,8 +335,11 @@ Status GroupStore::Load(BinaryReader* reader, size_t num_records) {
     int32_t cid = 0;
     GRALMATCH_RETURN_NOT_OK(reader->ReadI32(&cid));
     ComponentState comp;
-    GRALMATCH_RETURN_NOT_OK(ReadComponentState(reader, num_records, &comp));
-    GRALMATCH_RETURN_NOT_OK(InsertComponent(cid, std::move(comp), num_records));
+    std::vector<RecordPair> edges;
+    GRALMATCH_RETURN_NOT_OK(
+        ReadComponentState(reader, num_records, &comp, &edges));
+    GRALMATCH_RETURN_NOT_OK(
+        InsertComponent(cid, std::move(comp), edges, positives, num_records));
   }
   // The stored membership map is redundant with the node lists: it must be
   // exactly the map InsertComponent derived from them.
@@ -342,6 +352,8 @@ Status GroupStore::Load(BinaryReader* reader, size_t num_records) {
 }
 
 Status GroupStore::InsertComponent(int32_t cid, ComponentState comp,
+                                   const std::vector<RecordPair>& edges,
+                                   const std::vector<RecordPair>& positives,
                                    size_t num_records) {
   EnsureNumRecords(num_records);
   if (comp.nodes.empty()) {
@@ -365,6 +377,13 @@ Status GroupStore::InsertComponent(int32_t cid, ComponentState comp,
   if (comps_.count(cid)) {
     return Status::IOError("corrupted checkpoint: duplicate component id");
   }
+  // The stored edge list is redundant with the positive set: it must be
+  // exactly the positive pairs the node list derives.
+  if (edges != EdgesOf(comp.nodes, positives)) {
+    return Status::IOError(
+        "corrupted checkpoint: component edge list disagrees with the "
+        "positive set");
+  }
   for (const NodeId node : comp.nodes) {
     comp_of_node_[static_cast<size_t>(node)] = cid;
   }
@@ -372,25 +391,20 @@ Status GroupStore::InsertComponent(int32_t cid, ComponentState comp,
   return Status::OK();
 }
 
-Status GroupStore::Validate(const IsPositiveFn& is_positive) const {
-  // Every component edge must be a current positive pair with both
-  // endpoints inside the component — an edge into another component would
+Status GroupStore::Validate(const std::vector<RecordPair>& positives) const {
+  // Every positive pair must lie inside one component — the components are
+  // the positive graph's, and a pair reaching into another component would
   // index past the local UnionFind on the next dirty rebuild. The next id
   // must be fresh: colliding with a live component would make a later
   // rebuild silently merge two components' state.
-  for (const auto& [cid, comp] : comps_) {
-    for (const RecordPair& pair : comp.pairs) {
-      if (!is_positive(pair)) {
-        return Status::IOError(
-            "corrupted checkpoint: component edge is not a positive pair");
-      }
-      if (!std::binary_search(comp.nodes.begin(), comp.nodes.end(), pair.a) ||
-          !std::binary_search(comp.nodes.begin(), comp.nodes.end(), pair.b)) {
-        return Status::IOError(
-            "corrupted checkpoint: component edge endpoint outside the "
-            "component");
-      }
+  for (const RecordPair& pair : positives) {
+    const int32_t cid = comp_of_node_[static_cast<size_t>(pair.a)];
+    if (cid < 0 || comp_of_node_[static_cast<size_t>(pair.b)] != cid) {
+      return Status::IOError(
+          "corrupted checkpoint: positive pair outside a component");
     }
+  }
+  for (const auto& [cid, comp] : comps_) {
     if (cid < 0 || cid >= next_comp_id_) {
       return Status::IOError(
           "corrupted checkpoint: component id outside [0, next_comp_id)");

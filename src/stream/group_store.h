@@ -5,7 +5,9 @@
 /// Incrementally maintained component/group state of the incremental
 /// pipeline (stream/incremental_pipeline.h): the connected components of
 /// the pristine (pre-cleanup) positive-edge graph, each with its cached
-/// cleanup outcome.
+/// cleanup outcome. It keeps no edges: a component's edges are the
+/// positive pairs whose smaller endpoint is one of its nodes, so callers
+/// pass the positive set in.
 ///
 /// Apply() is the dirty-component cleanup step. Given the positive-edge
 /// transitions of one ingest (edges added / removed / provenance-changed),
@@ -56,8 +58,7 @@ class GroupStore {
   /// One connected component of the pristine positive-edge graph, with its
   /// cached cleanup outcome.
   struct ComponentState {
-    std::vector<NodeId> nodes;      ///< sorted ascending
-    std::vector<RecordPair> pairs;  ///< positive pairs inside, sorted
+    std::vector<NodeId> nodes;  ///< sorted ascending
     std::vector<std::vector<NodeId>> groups;  ///< cleaned groups, global ids
     CleanupStats stats;  ///< counters only (seconds stays 0)
   };
@@ -69,8 +70,6 @@ class GroupStore {
 
   /// Provenance bits of a (current) positive pair; feeds the Pre Cleanup.
   using ProvenanceFn = std::function<uint32_t(const RecordPair&)>;
-  /// Whether a pair is currently positive (checkpoint validation).
-  using IsPositiveFn = std::function<bool(const RecordPair&)>;
 
   /// Grow the per-record membership map to `num_records` entries (new
   /// records start as singletons). Call before Apply when records arrived.
@@ -78,15 +77,15 @@ class GroupStore {
 
   /// Fold one ingest's positive-edge transitions into the component
   /// structure and re-clean exactly the dirty region (see file comment).
+  /// `touched` holds every positive pair the ingest added, removed or
+  /// changed the provenance of; `positives` is the positive set after it
+  /// (strictly ascending), from which the dirty components' edges are read.
   /// With `rebuild_all` every component is conservatively dirty (matcher
-  /// fingerprint changes re-derive every score). All three transition lists
-  /// must be consistent with the store: removed/changed pairs were present,
-  /// added pairs are new.
-  ApplyReport Apply(const std::vector<RecordPair>& pos_added,
-                    const std::vector<RecordPair>& pos_removed,
-                    const std::vector<RecordPair>& pos_prov_changed,
-                    bool rebuild_all, const ProvenanceFn& prov_of,
-                    const PipelineConfig& config, ThreadPool* pool);
+  /// fingerprint changes re-derive every score).
+  ApplyReport Apply(const std::vector<RecordPair>& touched, bool rebuild_all,
+                    const std::vector<RecordPair>& positives,
+                    const ProvenanceFn& prov_of, const PipelineConfig& config,
+                    ThreadPool* pool);
 
   /// Fill `result` with pre-cleanup components, groups and cleanup counters
   /// in the batch pipeline's canonical order: components by smallest
@@ -103,30 +102,36 @@ class GroupStore {
                     PipelineResult* result) const;
 
   /// Serialize the complete store (membership map, components in sorted id
-  /// order with cached groups/counters, next component id). Byte layout is
-  /// the PR-4 checkpoint body layout.
-  void Save(BinaryWriter* writer) const;
+  /// order with their edges out of `positives` and cached groups/counters,
+  /// next component id). Byte layout is the PR-4 checkpoint body layout.
+  void Save(const std::vector<RecordPair>& positives,
+            BinaryWriter* writer) const;
 
-  /// Restore Save() output. Each component goes through InsertComponent,
-  /// and the stored membership map must equal the one those insertions
-  /// derive. Replaces the current contents. Finish with Validate once the
-  /// positive set is known.
-  Status Load(BinaryReader* reader, size_t num_records);
+  /// Restore Save() output against the loaded positive set. Each component
+  /// goes through InsertComponent, and the stored membership map must equal
+  /// the one those insertions derive. Replaces the current contents. Finish
+  /// with Validate.
+  Status Load(BinaryReader* reader, size_t num_records,
+              const std::vector<RecordPair>& positives);
 
   // -- Piecewise reconstruction (both checkpoint loaders) -------------------
 
   /// Insert one component under an explicit id, growing the membership map.
-  /// Rejects duplicate ids, empty/unsorted node lists and nodes already
-  /// owned by another component. The sharded loader finishes with
-  /// SetNextComponentId + Validate.
-  Status InsertComponent(int32_t cid, ComponentState comp, size_t num_records);
+  /// Rejects duplicate ids, empty/unsorted node lists, nodes already owned
+  /// by another component, and a stored edge list `edges` other than the
+  /// positive pairs whose smaller endpoint is one of its nodes. The sharded
+  /// loader finishes with SetNextComponentId + Validate.
+  Status InsertComponent(int32_t cid, ComponentState comp,
+                         const std::vector<RecordPair>& edges,
+                         const std::vector<RecordPair>& positives,
+                         size_t num_records);
 
   void SetNextComponentId(int32_t next) { next_comp_id_ = next; }
 
-  /// Cross-field checks that finish both restore paths: every component
-  /// edge is a current positive pair with both endpoints inside its
-  /// component, and every component id lies in [0, next_comp_id).
-  Status Validate(const IsPositiveFn& is_positive) const;
+  /// Cross-field checks that finish both restore paths: every positive pair
+  /// has both endpoints inside one component, and every component id lies
+  /// in [0, next_comp_id).
+  Status Validate(const std::vector<RecordPair>& positives) const;
 
   const std::unordered_map<int32_t, ComponentState>& components() const {
     return comps_;
@@ -135,8 +140,11 @@ class GroupStore {
   int32_t next_comp_id() const { return next_comp_id_; }
 
  private:
-  /// Re-run Pre Graph Cleanup + Algorithm 1 on one pristine component.
-  void RebuildComponent(ComponentState* comp, const ProvenanceFn& prov_of,
+  /// Re-run Pre Graph Cleanup + Algorithm 1 on one pristine component with
+  /// its `edges` (ascending).
+  void RebuildComponent(ComponentState* comp,
+                        const std::vector<RecordPair>& edges,
+                        const ProvenanceFn& prov_of,
                         const PipelineConfig& config, ThreadPool* pool);
 
   /// Component id per record (-1: singleton, not in any positive pair).
@@ -145,17 +153,20 @@ class GroupStore {
   int32_t next_comp_id_ = 0;
 };
 
-/// Serialize one component's canonical byte encoding — nodes, pairs,
-/// cleaned groups, cleanup counters. The single definition shared by the
-/// whole-store serialization (GroupStore::Save) and the per-shard
-/// checkpoint slices (shard/sharded_pipeline.h), so the two formats can
-/// never drift field-by-field.
+/// Serialize one component's canonical byte encoding — nodes, edges (its
+/// pairs out of `positives`), cleaned groups, cleanup counters. The single
+/// definition shared by the whole-store serialization (GroupStore::Save)
+/// and the per-shard checkpoint slices (shard/sharded_pipeline.h), so the
+/// two formats can never drift field-by-field.
 void WriteComponentState(const GroupStore::ComponentState& comp,
+                         const std::vector<RecordPair>& positives,
                          BinaryWriter* writer);
 
 /// Read WriteComponentState output; every id bounded by [0, num_records).
+/// The stored edge list goes to `edges`, for InsertComponent to check.
 Status ReadComponentState(BinaryReader* reader, size_t num_records,
-                          GroupStore::ComponentState* comp);
+                          GroupStore::ComponentState* comp,
+                          std::vector<RecordPair>* edges);
 
 }  // namespace gralmatch
 

@@ -13,6 +13,28 @@
 
 namespace gralmatch {
 
+namespace {
+
+/// The pairs whose membership in one index's pair set a mutation changed,
+/// ascending: a pair that both deltas flipped is back where it started.
+std::vector<RecordPair> NetFlips(const CandidateDelta& retracted,
+                                 const CandidateDelta& absorbed) {
+  auto flips = [](const CandidateDelta& delta) {
+    std::vector<RecordPair> out;
+    std::merge(delta.added.begin(), delta.added.end(), delta.removed.begin(),
+               delta.removed.end(), std::back_inserter(out));
+    return out;
+  };
+  const std::vector<RecordPair> first = flips(retracted);
+  const std::vector<RecordPair> second = flips(absorbed);
+  std::vector<RecordPair> net;
+  std::set_symmetric_difference(first.begin(), first.end(), second.begin(),
+                                second.end(), std::back_inserter(net));
+  return net;
+}
+
+}  // namespace
+
 IncrementalPipeline::IncrementalPipeline(IncrementalPipelineConfig config)
     : config_(config),
       pool_(MaybeMakePool(config.pipeline.num_threads)),
@@ -126,55 +148,38 @@ IngestReport IncrementalPipeline::MutateImpl(
   }
   fingerprint_ = fingerprint;
 
-  // Blocking: fold each index's deltas into the candidate set, snapshotting
-  // each touched pair's pre-mutation provenance once. Retraction runs
-  // before absorption per index; the candidate transitions below diff the
-  // pre-mutation snapshot against the final state, so they are independent
-  // of this internal order.
+  // Blocking: each index retracts, then absorbs. Provenance is read off
+  // the indexes, so a pair's provenance changed exactly when its membership
+  // in an index flipped net over the pass. Every pair list below ascends.
   Stopwatch blocking_watch;
-  std::unordered_map<RecordPair, uint32_t, RecordPairHash> old_prov;
-  auto apply_delta = [&](const CandidateDelta& delta, uint32_t bit) {
-    for (const RecordPair& pair : delta.added) {
-      uint32_t& prov = candidate_prov_[pair];
-      old_prov.try_emplace(pair, prov);
-      prov |= bit;
-    }
-    for (const RecordPair& pair : delta.removed) {
-      auto it = candidate_prov_.find(pair);
-      old_prov.try_emplace(pair, it->second);
-      it->second &= ~bit;
-    }
+  auto net_flips = [&](auto* index) {
+    const CandidateDelta retracted =
+        index->RemoveRecords(records_, removal_ids, pool_.get());
+    const CandidateDelta absorbed = index->AddRecords(records_, pool_.get());
+    return NetFlips(retracted, absorbed);
   };
-  if (config_.use_id_blocker) {
-    apply_delta(id_index_.RemoveRecords(records_, removal_ids, pool_.get()),
-                kBlockerIdOverlap);
-    apply_delta(id_index_.AddRecords(records_, pool_.get()), kBlockerIdOverlap);
-  }
-  if (config_.use_token_blocker) {
-    apply_delta(token_index_.RemoveRecords(records_, removal_ids, pool_.get()),
-                kBlockerTokenOverlap);
-    apply_delta(token_index_.AddRecords(records_, pool_.get()),
-                kBlockerTokenOverlap);
-  }
-
-  // A pair whose final provenance is 0 leaves the candidate set — also one
-  // that was absent before and that one delta added and another retracted
-  // within this pass: no zero-provenance entry may survive the pass.
+  std::vector<RecordPair> id_flips, token_flips, flipped;
+  if (config_.use_id_blocker) id_flips = net_flips(&id_index_);
+  if (config_.use_token_blocker) token_flips = net_flips(&token_index_);
+  std::set_union(id_flips.begin(), id_flips.end(), token_flips.begin(),
+                 token_flips.end(), std::back_inserter(flipped));
   std::vector<RecordPair> cand_added, cand_removed, prov_changed;
-  for (const auto& [pair, before] : old_prov) {
-    const uint32_t now = candidate_prov_.at(pair);
-    if (now == 0) {
-      if (before != 0) cand_removed.push_back(pair);
-      candidate_prov_.erase(pair);
-    } else if (before == 0) {
+  for (const RecordPair& pair : flipped) {
+    // A flipped bit held the opposite value before the pass.
+    auto flip = [&pair](const std::vector<RecordPair>& flips, uint32_t bit) {
+      return std::binary_search(flips.begin(), flips.end(), pair) ? bit : 0u;
+    };
+    const uint32_t now = ProvenanceOf(pair);
+    const uint32_t before = now ^ flip(id_flips, kBlockerIdOverlap) ^
+                            flip(token_flips, kBlockerTokenOverlap);
+    if (before == 0) {
       cand_added.push_back(pair);
-    } else if (before != now) {
+    } else if (now == 0) {
+      cand_removed.push_back(pair);
+    } else {
       prov_changed.push_back(pair);
     }
   }
-  std::sort(cand_added.begin(), cand_added.end());
-  std::sort(cand_removed.begin(), cand_removed.end());
-  std::sort(prov_changed.begin(), prov_changed.end());
   report.candidates_added = cand_added.size();
   report.candidates_removed = cand_removed.size();
   if (metrics.blocking_seconds != nullptr) {
@@ -200,8 +205,7 @@ IngestReport IncrementalPipeline::MutateImpl(
   // fingerprint reach the matcher. Re-admitted pairs are cache hits.
   std::vector<RecordPair> to_score;
   if (rescore_all) {
-    to_score.reserve(candidate_prov_.size());
-    for (const auto& [pair, prov] : candidate_prov_) to_score.push_back(pair);
+    for (const auto& [pair, bits] : Candidates()) to_score.push_back(pair);
   } else {
     for (const RecordPair& pair : cand_added) {
       if (score_cache_.count(pair)) {
@@ -211,7 +215,6 @@ IngestReport IncrementalPipeline::MutateImpl(
       }
     }
   }
-  std::sort(to_score.begin(), to_score.end());
   // Batched scoring (core/score_batching.h): the sorted to-score list is cut
   // into balanced chunks of at most kScoreBatchSize, one ScoreBatch call
   // each, fanned out over the pool — bitwise-identical to the per-pair walk
@@ -239,16 +242,18 @@ IngestReport IncrementalPipeline::MutateImpl(
   total_matcher_calls_ += to_score.size();
   total_cache_hits_ += report.cache_hits;
 
-  // Positive-edge transitions. Every list is strictly ascending, so the
-  // sorted positive set is updated by merging, never re-sorted.
+  // Positive-edge transitions. pos_added and pos_removed ascend strictly,
+  // so the sorted positive set is updated by merging, never re-sorted.
+  // `touched` gathers every positive pair that appeared, disappeared or
+  // changed provenance: cleanup re-runs on its endpoints' components.
   const double threshold = config_.pipeline.match_threshold;
-  std::vector<RecordPair> pos_added, pos_removed, pos_prov_changed;
+  std::vector<RecordPair> pos_added, pos_removed, touched;
   if (rescore_all) {
+    // Every candidate was just scored, in ascending order.
     std::vector<RecordPair> now_positive;
-    for (const auto& [pair, prov] : candidate_prov_) {
-      if (score_cache_.at(pair) >= threshold) now_positive.push_back(pair);
+    for (size_t k = 0; k < to_score.size(); ++k) {
+      if (scores[k] >= threshold) now_positive.push_back(to_score[k]);
     }
-    std::sort(now_positive.begin(), now_positive.end());
     std::set_difference(now_positive.begin(), now_positive.end(),
                         positives_.begin(), positives_.end(),
                         std::back_inserter(pos_added));
@@ -268,7 +273,7 @@ IngestReport IncrementalPipeline::MutateImpl(
       if (is_positive(pair)) pos_removed.push_back(pair);
     }
     for (const RecordPair& pair : prov_changed) {
-      if (is_positive(pair)) pos_prov_changed.push_back(pair);
+      if (is_positive(pair)) touched.push_back(pair);
     }
     if (!pos_added.empty() || !pos_removed.empty()) {
       std::vector<RecordPair> kept;
@@ -283,10 +288,13 @@ IngestReport IncrementalPipeline::MutateImpl(
     }
   }
 
+  touched.insert(touched.end(), pos_added.begin(), pos_added.end());
+  touched.insert(touched.end(), pos_removed.begin(), pos_removed.end());
+
   Stopwatch cleanup_watch;
   GroupStore::ApplyReport cleanup = store_.Apply(
-      pos_added, pos_removed, pos_prov_changed, rescore_all,
-      [this](const RecordPair& pair) { return candidate_prov_.at(pair); },
+      touched, rescore_all, positives_,
+      [this](const RecordPair& pair) { return ProvenanceOf(pair); },
       config_.pipeline, pool_.get());
   report.components_rebuilt = cleanup.components_rebuilt;
   report.components_reused = cleanup.components_reused;
@@ -307,6 +315,26 @@ IngestReport IncrementalPipeline::MutateImpl(
     metrics.components_reused->Increment(report.components_reused);
   }
   return report;
+}
+
+uint32_t IncrementalPipeline::ProvenanceOf(const RecordPair& pair) const {
+  // A disabled blocker's index never sees a record, so it holds no pair.
+  return (id_index_.Contains(pair) ? kBlockerIdOverlap : 0u) |
+         (token_index_.Contains(pair) ? kBlockerTokenOverlap : 0u);
+}
+
+PairValues IncrementalPipeline::Candidates() const {
+  const std::vector<RecordPair> id_pairs = id_index_.CurrentPairs();
+  const std::vector<RecordPair> token_pairs = token_index_.CurrentPairs();
+  std::vector<RecordPair> pairs;
+  std::set_union(id_pairs.begin(), id_pairs.end(), token_pairs.begin(),
+                 token_pairs.end(), std::back_inserter(pairs));
+  PairValues candidates;
+  candidates.reserve(pairs.size());
+  for (const RecordPair& pair : pairs) {
+    candidates.emplace_back(pair, ProvenanceOf(pair));
+  }
+  return candidates;
 }
 
 Result<PipelineResult> IncrementalPipeline::Snapshot() const {
@@ -441,7 +469,7 @@ Status IncrementalPipeline::Serialize(BinaryWriter* writer) const {
   WriteRecordPairs(positives_, writer);
 
   // Component structure with cached cleanup outcomes.
-  store_.Save(writer);
+  store_.Save(positives_, writer);
 
   WriteMatcherCounters(total_matcher_calls_, total_cache_hits_, writer);
   return Status::OK();
@@ -484,14 +512,14 @@ Result<std::unique_ptr<IncrementalPipeline>> IncrementalPipeline::Deserialize(
     pipeline->num_dead_ = static_cast<size_t>(dead_count);
   }
 
+  PairValues provenance;
   if (version >= 3) {
     GRALMATCH_RETURN_NOT_OK(reader->ReadString(&pipeline->fingerprint_));
-    GRALMATCH_RETURN_NOT_OK(pipeline->LoadBlockingState(reader));
+    GRALMATCH_RETURN_NOT_OK(pipeline->LoadBlockingState(reader, &provenance));
   } else {
     GRALMATCH_RETURN_NOT_OK(pipeline->LoadIndexStates(reader));
     GRALMATCH_RETURN_NOT_OK(reader->ReadString(&pipeline->fingerprint_));
-    GRALMATCH_RETURN_NOT_OK(
-        ReadPairValues(reader, n, &pipeline->candidate_prov_));
+    GRALMATCH_RETURN_NOT_OK(ReadPairValues(reader, n, &provenance));
   }
   ScoreList scores;
   GRALMATCH_RETURN_NOT_OK(ReadScoreList(reader, n, &scores));
@@ -499,7 +527,8 @@ Result<std::unique_ptr<IncrementalPipeline>> IncrementalPipeline::Deserialize(
   pipeline->score_cache_.insert(scores.begin(), scores.end());
   GRALMATCH_RETURN_NOT_OK(ReadRecordPairs(reader, n, &pipeline->positives_));
 
-  GRALMATCH_RETURN_NOT_OK(pipeline->store_.Load(reader, n));
+  GRALMATCH_RETURN_NOT_OK(
+      pipeline->store_.Load(reader, n, pipeline->positives_));
 
   GRALMATCH_RETURN_NOT_OK(ReadMatcherCounters(
       reader, &pipeline->total_matcher_calls_, &pipeline->total_cache_hits_));
@@ -508,19 +537,20 @@ Result<std::unique_ptr<IncrementalPipeline>> IncrementalPipeline::Deserialize(
     // state depends on.
     GRALMATCH_RETURN_NOT_OK(SkipLegacyWallClock(reader));
   }
-  GRALMATCH_RETURN_NOT_OK(pipeline->FinishRestore(/*rebuild_blocking=*/false));
+  GRALMATCH_RETURN_NOT_OK(pipeline->FinishRestore(&provenance));
   return pipeline;
 }
 
 void IncrementalPipeline::SaveBlockingState(BinaryWriter* writer) const {
   id_index_.SaveState(writer);
   token_index_.SaveState(writer);
-  WritePairValues(candidate_prov_, writer);
+  WritePairValues(Candidates(), writer);
 }
 
-Status IncrementalPipeline::LoadBlockingState(BinaryReader* reader) {
+Status IncrementalPipeline::LoadBlockingState(BinaryReader* reader,
+                                              PairValues* provenance) {
   GRALMATCH_RETURN_NOT_OK(LoadIndexStates(reader));
-  return ReadPairValues(reader, records_.size(), &candidate_prov_);
+  return ReadPairValues(reader, records_.size(), provenance);
 }
 
 Status IncrementalPipeline::LoadIndexStates(BinaryReader* reader) {
@@ -538,27 +568,22 @@ Status IncrementalPipeline::LoadIndexStates(BinaryReader* reader) {
   return Status::OK();
 }
 
-Status IncrementalPipeline::FinishRestore(bool rebuild_blocking) {
+Status IncrementalPipeline::FinishRestore(const PairValues* provenance) {
   const size_t n = records_.size();
-  if (rebuild_blocking) {
+  if (provenance == nullptr) {
+    // Legacy directories store no blocking state. The indexes are a pure
+    // function of (records, tombstones), so rebuild them.
     std::vector<RecordId> dead_ids;
     for (size_t r = 0; r < n; ++r) {
       if (!alive_[r]) dead_ids.push_back(static_cast<RecordId>(r));
     }
-    candidate_prov_.clear();
     if (config_.use_id_blocker) {
       (void)id_index_.AddRecords(records_, pool_.get());
       (void)id_index_.RemoveRecords(records_, dead_ids, pool_.get());
-      for (const RecordPair& pair : id_index_.CurrentPairs()) {
-        candidate_prov_[pair] |= kBlockerIdOverlap;
-      }
     }
     if (config_.use_token_blocker) {
       (void)token_index_.AddRecords(records_, pool_.get());
       (void)token_index_.RemoveRecords(records_, dead_ids, pool_.get());
-      for (const RecordPair& pair : token_index_.CurrentPairs()) {
-        candidate_prov_[pair] |= kBlockerTokenOverlap;
-      }
     }
   } else {
     // LoadState defaults every record to alive; the max-df cap tracks the
@@ -566,10 +591,17 @@ Status IncrementalPipeline::FinishRestore(bool rebuild_blocking) {
     token_index_.SetNumLive(n - num_dead_);
   }
 
-  // Every loaded pair passed the shared pair codec (canonical, in range)
-  // and rebuilt candidates come from the indexes. Tombstoned records
-  // retract every pair they touch, so a candidate, cached score or positive
-  // referencing one is corruption.
+  // The stored provenance is a copy of the indexes' pair sets.
+  const PairValues candidates = Candidates();
+  if (provenance != nullptr && *provenance != candidates) {
+    return Status::IOError(
+        "corrupted checkpoint: blocking index pair set disagrees with the "
+        "candidate provenance");
+  }
+
+  // Every loaded pair passed the shared pair codec (canonical, in range).
+  // Tombstoned records retract every pair they touch, so a candidate,
+  // cached score or positive referencing one is corruption.
   auto check_pair = [this](const RecordPair& pair) {
     if (!alive_[static_cast<size_t>(pair.a)] ||
         !alive_[static_cast<size_t>(pair.b)]) {
@@ -585,78 +617,31 @@ Status IncrementalPipeline::FinishRestore(bool rebuild_blocking) {
     cached_partners_[static_cast<size_t>(pair.a)].push_back(pair.b);
     cached_partners_[static_cast<size_t>(pair.b)].push_back(pair.a);
   }
-  for (const RecordPair& pair : positives_) {
-    GRALMATCH_RETURN_NOT_OK(check_pair(pair));
-  }
 
   // Every current candidate has a cached score and every positive pair is a
-  // current candidate — the mutation path dereferences both
+  // current candidate (so live too) — the mutation path dereferences both
   // unconditionally, so a checkpoint violating either invariant must be
   // rejected here, not crash there.
-  const uint32_t known_bits =
-      (config_.use_id_blocker ? kBlockerIdOverlap : 0u) |
-      (config_.use_token_blocker ? kBlockerTokenOverlap : 0u);
-  for (const auto& [pair, prov] : candidate_prov_) {
+  for (const auto& [pair, bits] : candidates) {
     GRALMATCH_RETURN_NOT_OK(check_pair(pair));
-    if (prov == 0 || (prov & ~known_bits) != 0) {
-      return Status::IOError(
-          "corrupted checkpoint: candidate provenance bits disagree with the "
-          "configured blockers");
-    }
     if (!score_cache_.count(pair)) {
       return Status::IOError(
           "corrupted checkpoint: candidate pair without a cached score");
     }
   }
   for (const RecordPair& pair : positives_) {
-    if (!candidate_prov_.count(pair)) {
+    if (ProvenanceOf(pair) == 0) {
       return Status::IOError(
           "corrupted checkpoint: positive pair missing from the candidate "
           "set");
     }
-  }
-  // The candidate set must be exactly what the blocking indexes currently
-  // produce, bit by bit: a future AddRecords retraction looks the pair up
-  // in candidate_prov_ unchecked, so an index/pipeline mismatch would
-  // dereference end(). A rebuild derived one from the other, so only
-  // loaded index state needs the check.
-  auto check_index = [this](const std::vector<RecordPair>& index_pairs,
-                            uint32_t bit) {
-    size_t with_bit = 0;
-    for (const auto& [pair, prov] : candidate_prov_) {
-      (void)pair;
-      if (prov & bit) ++with_bit;
-    }
-    if (with_bit != index_pairs.size()) {
-      return Status::IOError(
-          "corrupted checkpoint: blocking index pair set disagrees with the "
-          "candidate provenance");
-    }
-    for (const RecordPair& pair : index_pairs) {
-      auto it = candidate_prov_.find(pair);
-      if (it == candidate_prov_.end() || (it->second & bit) == 0) {
-        return Status::IOError(
-            "corrupted checkpoint: blocking index pair missing from the "
-            "candidate set");
-      }
-    }
-    return Status::OK();
-  };
-  if (!rebuild_blocking && config_.use_id_blocker) {
-    GRALMATCH_RETURN_NOT_OK(
-        check_index(id_index_.CurrentPairs(), kBlockerIdOverlap));
-  }
-  if (!rebuild_blocking && config_.use_token_blocker) {
-    GRALMATCH_RETURN_NOT_OK(
-        check_index(token_index_.CurrentPairs(), kBlockerTokenOverlap));
   }
   // An empty fingerprint means no mutation ever ran (each one sets it
   // unconditionally), so every other piece of state must be empty too —
   // otherwise cached scores could never be invalidated by a fingerprint
   // change.
   if (fingerprint_.empty() &&
-      (n != 0 || !candidate_prov_.empty() || !score_cache_.empty() ||
-       !positives_.empty())) {
+      (n != 0 || !score_cache_.empty() || !positives_.empty())) {
     return Status::IOError(
         "corrupted checkpoint: pre-ingest fingerprint with non-empty state");
   }
@@ -669,9 +654,7 @@ Status IncrementalPipeline::FinishRestore(bool rebuild_blocking) {
           "corrupted checkpoint: tombstoned record still inside a component");
     }
   }
-  return store_.Validate([this](const RecordPair& pair) {
-    return std::binary_search(positives_.begin(), positives_.end(), pair);
-  });
+  return store_.Validate(positives_);
 }
 
 }  // namespace gralmatch

@@ -9,7 +9,8 @@
 ///
 ///  1. Blocking: incremental Token/ID Overlap inverted indexes
 ///     (blocking/incremental_index.h) emit only the candidate pairs the
-///     mutation adds or retracts.
+///     mutation adds or retracts. The candidate set and each pair's blocker
+///     provenance are read off the two indexes, never stored beside them.
 ///  2. Scoring: a pair-score cache keyed by (record_a, record_b,
 ///     matcher fingerprint) guarantees a pair is sent to the matcher at
 ///     most once while the fingerprint stays the same — re-admitted
@@ -20,7 +21,12 @@
 ///     component structure (stream/group_store.h) and the Pre + GraLMatch
 ///     Graph Cleanup reruns only on *dirty* components (those that gained
 ///     or lost a node, an edge, or a provenance bit); untouched groups are
-///     spliced through unchanged with their cached cleanup counters.
+///     spliced through unchanged with their cached cleanup counters. The
+///     sorted positive set is the one copy of the match graph's edges: a
+///     component's edges are read from it.
+///
+/// State, each fact kept once: records, tombstones, the two indexes, the
+/// fingerprint, the score cache, the positive set and the component store.
 ///
 /// Batch-equivalence contract (enforced by
 /// tests/pipeline_equivalence_test.cc): after any sequence of ingests,
@@ -199,9 +205,9 @@ class IncrementalPipeline {
   const std::string& fingerprint() const { return fingerprint_; }
 
   /// Serialize the complete pipeline state — config, records, tombstones,
-  /// both blocking indexes, candidate provenance, the score cache, the
-  /// match graph's positive edges and per-component cleanup results — such
-  /// that
+  /// both blocking indexes, the score cache, the match graph's positive
+  /// edges and per-component cleanup results, plus the derived candidate
+  /// provenance and component edge lists the layout stores — such that
   /// Deserialize()->Snapshot() is bitwise-identical to Snapshot() here and
   /// further Ingest() calls behave exactly as they would have on this
   /// instance. Map-backed state is written in sorted key order, so equal
@@ -227,14 +233,21 @@ class IncrementalPipeline {
   /// state from shard files and finishes through FinishRestore.
   friend class ShardedPipeline;
 
+  /// Blocker provenance bits of `pair`: one bit per index whose current
+  /// pair set holds it; 0 when the pair is no candidate.
+  uint32_t ProvenanceOf(const RecordPair& pair) const;
+  /// Current candidate pairs, ascending (the union of both indexes' pair
+  /// sets), each with its ProvenanceOf bits.
+  PairValues Candidates() const;
+
   /// The blocking-state section of both version 3 layouts (the image body
   /// and the sharded manifest body): both index states, then the
-  /// candidate provenance. Load expects the record table in place; an
-  /// enabled blocker's index must cover every record and a disabled one's
-  /// must be empty. FinishRestore(/*rebuild_blocking=*/false) then checks
-  /// the provenance against the indexes' pair sets.
+  /// candidate provenance, written as Candidates(). Load expects the record
+  /// table in place; an enabled blocker's index must cover every record and
+  /// a disabled one's must be empty. It returns the stored provenance in
+  /// `provenance` for FinishRestore to check.
   void SaveBlockingState(BinaryWriter* writer) const;
-  Status LoadBlockingState(BinaryReader* reader);
+  Status LoadBlockingState(BinaryReader* reader, PairValues* provenance);
   /// The index half of LoadBlockingState. Legacy (version 1 and 2) images
   /// store the fingerprint between the index states and the provenance.
   Status LoadIndexStates(BinaryReader* reader);
@@ -242,21 +255,19 @@ class IncrementalPipeline {
   /// The engine-side end of both checkpoint loaders. Expects records,
   /// tombstones, fingerprint, score cache, positives (strictly ascending),
   /// components and counters in place, and rebuilds the per-record cached
-  /// partner lists from the score cache. With `rebuild_blocking` (legacy
-  /// version 1 and 2 directories, which store no index state) the blocking
-  /// indexes are rebuilt from (records, tombstones) — their state is a pure
-  /// function of the two — and the candidate provenance is derived from
-  /// them; otherwise both must already be loaded, and the token index's
-  /// live count is restored from the tombstones. Then re-verifies every
-  /// cross-field
-  /// invariant the mutation path dereferences unchecked: candidate,
-  /// cached and positive pairs live (the pair codec already checked them
-  /// canonical and in range), every candidate scored
-  /// with known provenance bits, every positive a candidate, candidates
-  /// equal to the indexes' pair sets bit by bit, empty state before the
-  /// first ingest, no tombstoned record inside a component, and every
-  /// component edge a positive pair. Any violation is a clean IOError.
-  Status FinishRestore(bool rebuild_blocking);
+  /// partner lists from the score cache. `provenance` is the candidate
+  /// provenance the checkpoint stored beside its index states; it must
+  /// equal Candidates(), and the token index's live count is restored from
+  /// the tombstones. Null means a legacy (version 1 and 2) directory, which
+  /// stores neither: the indexes are rebuilt from (records, tombstones),
+  /// whose pure function they are. Then re-verifies every cross-field
+  /// invariant the mutation path dereferences unchecked: candidate, cached
+  /// and positive pairs live (the pair codec already checked them canonical
+  /// and in range), every candidate scored, every positive a candidate,
+  /// empty state before the first ingest, no tombstoned record inside a
+  /// component, and every positive pair inside one component
+  /// (GroupStore::Validate). Any violation is a clean IOError.
+  Status FinishRestore(const PairValues* provenance);
 
   /// The whole mutation path shared by Ingest (no removals), Remove (no
   /// adds) and Update (both, one pass); the public entry points wrap it
@@ -288,8 +299,6 @@ class IncrementalPipeline {
   IncrementalIdOverlapIndex id_index_;
   IncrementalTokenOverlapIndex token_index_;
 
-  /// Current candidate pairs -> blocker provenance bits.
-  std::unordered_map<RecordPair, uint32_t, RecordPairHash> candidate_prov_;
   /// Pair-score cache for the current matcher fingerprint.
   std::string fingerprint_;
   std::unordered_map<RecordPair, double, RecordPairHash> score_cache_;

@@ -321,7 +321,7 @@ TEST(IncrementalIdOverlapIndexTest, BucketOverflowRetractsItsPairs) {
   CandidateDelta first = index.AddRecords(Prefix(records, 50));
   EXPECT_GT(first.added.size(), 0u);
   EXPECT_EQ(first.removed.size(), 0u);
-  EXPECT_EQ(SortedPairs(index.CurrentPairs()),
+  EXPECT_EQ(index.CurrentPairs(),
             BatchIdPairs(Prefix(records, 50)));
 
   CandidateDelta second = index.AddRecords(records);
@@ -350,7 +350,7 @@ TEST(IncrementalIdOverlapIndexTest, RandomSplitsMatchBatch) {
                                       ? records.size() - ingested
                                       : 30);
       index.AddRecords(Prefix(records, ingested));
-      EXPECT_EQ(SortedPairs(index.CurrentPairs()),
+      EXPECT_EQ(index.CurrentPairs(),
                 BatchIdPairs(Prefix(records, ingested)))
           << "round " << round << " after " << ingested << " records";
     }
@@ -376,13 +376,13 @@ TEST(IncrementalTokenOverlapIndexTest, MaxDfCapReadmitsTokensAsNGrows) {
 
   IncrementalTokenOverlapIndex index(options);
   index.AddRecords(Prefix(records, 10));
-  EXPECT_EQ(SortedPairs(index.CurrentPairs()),
+  EXPECT_EQ(index.CurrentPairs(),
             BatchTokenPairs(Prefix(records, 10), options));
   EXPECT_TRUE(index.CurrentPairs().empty());
 
   CandidateDelta delta = index.AddRecords(records);
   EXPECT_GT(delta.added.size(), 0u);
-  EXPECT_EQ(SortedPairs(index.CurrentPairs()),
+  EXPECT_EQ(index.CurrentPairs(),
             BatchTokenPairs(records, options));
   EXPECT_FALSE(index.CurrentPairs().empty());
 }
@@ -409,13 +409,13 @@ TEST(IncrementalTokenOverlapIndexTest, TopNDisplacementRetractsPair) {
 
   IncrementalTokenOverlapIndex index(options);
   index.AddRecords(Prefix(records, 3));
-  std::vector<RecordPair> before = SortedPairs(index.CurrentPairs());
+  std::vector<RecordPair> before = index.CurrentPairs();
   EXPECT_EQ(before, BatchTokenPairs(Prefix(records, 3), options));
   EXPECT_TRUE(std::binary_search(before.begin(), before.end(),
                                  RecordPair(a, b)));
 
   CandidateDelta delta = index.AddRecords(records);
-  EXPECT_EQ(SortedPairs(index.CurrentPairs()),
+  EXPECT_EQ(index.CurrentPairs(),
             BatchTokenPairs(records, options));
   ASSERT_EQ(delta.removed.size(), 1u);
   EXPECT_EQ(delta.removed[0], RecordPair(a, b));
@@ -524,7 +524,7 @@ TEST(IncrementalTokenOverlapIndexTest, RandomSplitsMatchBatch) {
                                       ? records.size() - ingested
                                       : 20);
       index.AddRecords(Prefix(records, ingested));
-      EXPECT_EQ(SortedPairs(index.CurrentPairs()),
+      EXPECT_EQ(index.CurrentPairs(),
                 BatchTokenPairs(Prefix(records, ingested), options))
           << "round " << round << " after " << ingested << " records";
     }
@@ -672,7 +672,7 @@ void RunIndexSchedule(const IndexSchedule& schedule,
     index.AddRecords(table);
     if (have_restored) restored.AddRecords(table);
 
-    EXPECT_EQ(SortedPairs(index.CurrentPairs()),
+    EXPECT_EQ(index.CurrentPairs(),
               SurvivorPairs<Index>(table, alive, make_index))
         << context << " after step " << k;
     if (k == schedule.steps.size() / 2) {

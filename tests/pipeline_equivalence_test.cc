@@ -1968,6 +1968,57 @@ void IndexPairSetDisagreesWithProvenance(const Instance& in) {
       });
 }
 
+void TokenDfDisagreesWithPostings(const Instance& in) {
+  // A token's stored document frequency falls one below its postings
+  // count. The df is its postings count, so the load must refuse the copy.
+  ExpectPatchedBlockingStateRejected(
+      in, "token_df", "document frequency disagrees with the postings",
+      [](const std::string& bytes, const BlockingSections& sections) {
+        EXPECT_NE(sections.postings, 0u);
+        const size_t df_at = sections.postings - 4;
+        const uint32_t df = static_cast<uint32_t>(DecodeI32(bytes, df_at));
+        EXPECT_EQ(df, DecodeU64(bytes, sections.postings));
+        return std::make_tuple(df_at, size_t{4},
+                               EncodeI32(static_cast<int32_t>(df - 1)));
+      });
+}
+
+void ComponentEdgeMissing(const Instance& in) {
+  // The first stored component's edge list drops its last pair, framing
+  // repaired. The pair is still positive, so only deriving the edge list
+  // from the positive set can tell.
+  TempCheckpoint checkpoint(in, "component_edges");
+  SaveFixture(in, true, checkpoint.path());
+  const std::vector<std::string> files =
+      StateFiles(in.shards, checkpoint.path());
+  for (size_t k = 0; k < files.size(); ++k) {
+    const std::string bytes = ReadFileBytes(files[k]);
+    // Image: positives, the membership map, the components. Shard file:
+    // positives, the two counters, the components.
+    const Sections sections = Locate(in, files[k]);
+    size_t pos = SkipList(bytes, sections.scores, 16);
+    pos = in.shards == 0 ? SkipList(bytes, SkipList(bytes, pos, 8), 4)
+                         : SkipList(bytes, pos, 8) + 16;
+    if (DecodeU64(bytes, pos) == 0) continue;
+    // The first component: its id, then its node list, then its edges.
+    const size_t edges = SkipList(bytes, pos + 8 + 4, 4);
+    const uint64_t num_edges = DecodeU64(bytes, edges);
+    ASSERT_GT(num_edges, 0u);
+    RewriteStateFile(in.shards, checkpoint.path(), k, edges,
+                     8 + 8 * static_cast<size_t>(num_edges),
+                     EncodeU64(num_edges - 1) +
+                         bytes.substr(edges + 8, 8 * (num_edges - 1)));
+    const Status status = LoadStatus(in, checkpoint.path());
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::kIoError);
+    EXPECT_NE(status.message().find("component edge list disagrees"),
+              std::string::npos)
+        << status.ToString();
+    return;
+  }
+  ADD_FAILURE() << "no state file holds a component";
+}
+
 // ---------------------------------------------------------------------------
 // Registration
 // ---------------------------------------------------------------------------
@@ -2233,6 +2284,16 @@ bool RegisterAll() {
                      "BlockingStateCorruptionTest",
                      "DirectoryIndexPairSetMismatchRejected",
                      IndexPairSetDisagreesWithProvenance);
+  RegisterCorruption("BlockingStateCorruptionTest",
+                     "ImageTokenDfMismatchRejected",
+                     "BlockingStateCorruptionTest",
+                     "DirectoryTokenDfMismatchRejected",
+                     TokenDfDisagreesWithPostings);
+  RegisterCorruption("ComponentStoreCorruptionTest",
+                     "ImageComponentEdgeMissingRejected",
+                     "ComponentStoreCorruptionTest",
+                     "DirectoryComponentEdgeMissingRejected",
+                     ComponentEdgeMissing);
   return true;
 }
 

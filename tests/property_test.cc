@@ -431,7 +431,7 @@ TEST(RetractionEdgeCases, DfCapDropRetractsAndHolderDeletionReadmits) {
   // live 12 -> cap 7, df(anchor) = 4: all cross-source anchor pairs.
   const std::vector<RecordPair> anchor_pairs = {MakePair(0, 1), MakePair(0, 3),
                                                 MakePair(1, 2), MakePair(2, 3)};
-  EXPECT_EQ(SortedPairs(index.CurrentPairs()), anchor_pairs);
+  EXPECT_EQ(index.CurrentPairs(), anchor_pairs);
 
   // Deleting seven filler records — NONE holds "anchor" — drops the live
   // count to 5 and the cap to 3 < df: every anchor pair retracts.
@@ -440,7 +440,7 @@ TEST(RetractionEdgeCases, DfCapDropRetractsAndHolderDeletionReadmits) {
   CandidateDelta delta = index.RemoveRecords(records, pads);
   EXPECT_EQ(SortedPairs(delta.removed), anchor_pairs);
   EXPECT_TRUE(index.CurrentPairs().empty());
-  EXPECT_EQ(SortedPairs(index.CurrentPairs()),
+  EXPECT_EQ(index.CurrentPairs(),
             BatchPairsOnSurvivors(records, alive, batch));
 
   // Deleting an anchor HOLDER drops df to 3 = cap: the token is re-admitted
@@ -449,8 +449,8 @@ TEST(RetractionEdgeCases, DfCapDropRetractsAndHolderDeletionReadmits) {
   delta = index.RemoveRecords(records, {3});
   const std::vector<RecordPair> readmitted = {MakePair(0, 1), MakePair(1, 2)};
   EXPECT_EQ(SortedPairs(delta.added), readmitted);
-  EXPECT_EQ(SortedPairs(index.CurrentPairs()), readmitted);
-  EXPECT_EQ(SortedPairs(index.CurrentPairs()),
+  EXPECT_EQ(index.CurrentPairs(), readmitted);
+  EXPECT_EQ(index.CurrentPairs(),
             BatchPairsOnSurvivors(records, alive, batch));
 }
 
@@ -464,7 +464,7 @@ TEST(RetractionEdgeCases, DeletingLastBucketMemberLeavesNoResidue) {
   records.Add(IdRecord(0, "XX9999"));
   alive.assign(3, 1);
   index.AddRecords(records);
-  EXPECT_EQ(SortedPairs(index.CurrentPairs()),
+  EXPECT_EQ(index.CurrentPairs(),
             std::vector<RecordPair>{MakePair(0, 1)});
 
   // Deleting one holder leaves a single-member bucket: the pair retracts.
@@ -486,9 +486,9 @@ TEST(RetractionEdgeCases, DeletingLastBucketMemberLeavesNoResidue) {
   alive.push_back(1);
   delta = index.AddRecords(records);
   EXPECT_EQ(SortedPairs(delta.added), std::vector<RecordPair>{MakePair(3, 4)});
-  EXPECT_EQ(SortedPairs(index.CurrentPairs()),
+  EXPECT_EQ(index.CurrentPairs(),
             std::vector<RecordPair>{MakePair(3, 4)});
-  EXPECT_EQ(SortedPairs(index.CurrentPairs()),
+  EXPECT_EQ(index.CurrentPairs(),
             BatchPairsOnSurvivors(records, alive, batch));
 }
 
@@ -508,7 +508,7 @@ TEST(RetractionEdgeCases, RetractionReadmitsOverflowedBucket) {
   delta = index.RemoveRecords(records, {3});
   const std::vector<RecordPair> readmitted = {MakePair(0, 1), MakePair(1, 2)};
   EXPECT_EQ(SortedPairs(delta.added), readmitted);
-  EXPECT_EQ(SortedPairs(index.CurrentPairs()), readmitted);
+  EXPECT_EQ(index.CurrentPairs(), readmitted);
 
   // Growing past the cap again retracts the re-admitted pairs.
   records.Add(IdRecord(1, "SHARED01"));
@@ -573,7 +573,7 @@ TEST_P(RetractionPropertyTest, TokenIndexMatchesBatchOnSurvivorsUnderChurn) {
       }
       apply(index.RemoveRecords(records, doomed));
     }
-    const std::vector<RecordPair> current = SortedPairs(index.CurrentPairs());
+    const std::vector<RecordPair> current = index.CurrentPairs();
     EXPECT_EQ(current, BatchPairsOnSurvivors(records, alive, batch))
         << "step " << step;
     EXPECT_EQ(current,
@@ -617,7 +617,7 @@ TEST_P(RetractionPropertyTest, IdIndexMatchesBatchOnSurvivorsUnderChurn) {
       }
       index.RemoveRecords(records, doomed);
     }
-    EXPECT_EQ(SortedPairs(index.CurrentPairs()),
+    EXPECT_EQ(index.CurrentPairs(),
               BatchPairsOnSurvivors(records, alive, batch))
         << "step " << step;
   }
@@ -928,9 +928,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, UnionFindPropertyTest,
 // ScoreBatch batching invariance: for every matcher, any random split of a
 // pair set into batches is bitwise-identical to per-pair MatchProbability —
 // the contract in matching/matcher.h. Runs under every kernel build (the
-// scalar-kernels CI leg recompiles with -DGRALMATCH_SIMD=OFF and with
-// -march=x86-64-v3), so it also pins that neither the SIMD annotations nor
-// the matmul kernel instantiations ever reassociate a result.
+// x86-64-v3-kernels CI leg recompiles with -march=x86-64-v3), so it also
+// pins that neither the SIMD annotations nor the matmul kernel
+// instantiations ever reassociate a result.
 // ---------------------------------------------------------------------------
 
 class ScoreBatchPropertyTest : public ::testing::TestWithParam<uint64_t> {
